@@ -5,7 +5,8 @@
 //      stability and final edge budget).
 //   C. Similarity policy: none / node-disjoint / bounded (edges and rounds
 //      needed to reach the target).
-//   D. Inner solver: tree-preconditioned PCG vs AMG (densification time).
+//   D. Inner solver: per-round min-degree Cholesky of L_P vs AMG
+//      (densification time) on two meshes and a scale-free graph.
 //   E. Edge rescaling extension: two-sided sigma^2 before/after.
 
 #include <benchmark/benchmark.h>
@@ -199,9 +200,10 @@ void ablation_inner_solver() {
   std::vector<Item> graphs;
   graphs.push_back({"grid", bench::g3_circuit_proxy(dim(120, 400), 605)});
   graphs.push_back({"tri", bench::thermal2_proxy(dim(110, 380), 606)});
+  graphs.push_back({"dblp", bench::dblp_proxy(dim(15000, 100000), 608)});
   for (Item& item : graphs) {
     for (InnerSolverKind kind :
-         {InnerSolverKind::kTreePcg, InnerSolverKind::kAmg}) {
+         {InnerSolverKind::kCholesky, InnerSolverKind::kAmg}) {
       SparsifyOptions opts;
       opts.sigma2 = 80.0;
       opts.inner_solver = kind;

@@ -22,8 +22,8 @@ const char* to_string(BackboneKind kind) {
 
 const char* to_string(InnerSolverKind kind) {
   switch (kind) {
-    case InnerSolverKind::kTreePcg:
-      return "tree-pcg";
+    case InnerSolverKind::kCholesky:
+      return "cholesky";
     case InnerSolverKind::kAmg:
       return "amg";
   }
@@ -137,10 +137,15 @@ BackboneKind parse_backbone_kind(const std::string& name) {
 }
 
 InnerSolverKind parse_inner_solver_kind(const std::string& name) {
-  if (name == "tree-pcg") return InnerSolverKind::kTreePcg;
+  if (name == "cholesky") return InnerSolverKind::kCholesky;
   if (name == "amg") return InnerSolverKind::kAmg;
+  if (name == "tree-pcg") {
+    throw std::invalid_argument(
+        "inner solver 'tree-pcg' was replaced by 'cholesky' (an exact "
+        "factorization of L_P per round); use cholesky|amg");
+  }
   throw std::invalid_argument("unknown inner solver '" + name +
-                              "' (tree-pcg|amg)");
+                              "' (cholesky|amg)");
 }
 
 EstimationMode parse_estimation_mode(const std::string& name) {

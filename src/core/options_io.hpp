@@ -20,7 +20,7 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 /// "akpw" | "kruskal" | "spt"
 [[nodiscard]] const char* to_string(BackboneKind kind);
 
-/// "tree-pcg" | "amg"
+/// "cholesky" | "amg"
 [[nodiscard]] const char* to_string(InnerSolverKind kind);
 
 /// "power" | "localized"

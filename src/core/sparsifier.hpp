@@ -55,10 +55,11 @@ enum class BackboneKind {
 };
 
 /// Inner solver used to apply L_P⁺ during estimation/embedding (§3.7
-/// step 1; the paper uses graph-theoretic AMG [13,24]).
+/// step 1; the paper uses graph-theoretic AMG [13,24]). Rounds whose P is
+/// still the bare backbone always use the exact O(n) tree solver.
 enum class InnerSolverKind {
-  kTreePcg,  ///< PCG preconditioned by the backbone tree (default)
-  kAmg       ///< aggregation AMG V-cycles
+  kCholesky,  ///< sparse Cholesky of L_P, min-degree ordered (default)
+  kAmg        ///< aggregation AMG V-cycles
 };
 
 /// How per-edge Joule heats (and the spectral bounds driving convergence)
@@ -98,12 +99,17 @@ struct SparsifyOptions {
   SimilarityPolicy similarity = SimilarityPolicy::kNodeDisjoint;
   /// Per-endpoint budget for SimilarityPolicy::kBounded.
   Index node_cap = 2;
-  /// Tree-PCG default: the backbone stays a subgraph of P, making an
-  /// excellent preconditioner; the inner-solver ablation shows it matching
-  /// or beating AMG in wall time across graph families.
-  InnerSolverKind inner_solver = InnerSolverKind::kTreePcg;
-  /// Relative tolerance of the inner L_P solves (heat ranking and λ_max
-  /// estimation tolerate loose solves; see the inner-solver ablation).
+  /// Cholesky default: P is a spanning tree plus a small share of
+  /// off-tree edges, so a minimum-degree factor of L_P stays near |Es|
+  /// nonzeros and is built once per round; every λ_max and embedding solve
+  /// is then two exact triangular sweeps (see the inner-solver ablation).
+  /// Where the factor fills in (expander-like graphs at a tight σ²), the
+  /// first round past the engine's fill budget and every later round of
+  /// the run use AMG instead.
+  InnerSolverKind inner_solver = InnerSolverKind::kCholesky;
+  /// Relative tolerance of the inner L_P solves in AMG rounds (kAmg, or
+  /// kCholesky past its fill budget; heat ranking and λ_max estimation
+  /// tolerate loose solves). The Cholesky solves are exact and ignore it.
   double solver_tolerance = 1e-4;
   /// Generalized power iterations for the λ_max estimate (§3.6.1).
   Index lambda_max_iterations = 10;

@@ -70,18 +70,34 @@ void Sparsifier::ensure_backbone() {
 
 void Sparsifier::bind_backbone(const SpanningTree& backbone) {
   backbone_ = &backbone;
-  // Localized mode runs no inner solves, so the tree solver/preconditioner
-  // pair (an O(n) build each) is never materialized.
+  // Localized mode runs no inner solves, so the tree solver (an O(n)
+  // build) is never materialized.
   if (opts_.estimation == EstimationMode::kPower) {
     tree_solver_.emplace(backbone);
-    tree_precond_.emplace(backbone);
   }
   result_.tree_edges.assign(backbone.tree_edge_ids().begin(),
                             backbone.tree_edge_ids().end());
   result_.edges = result_.tree_edges;
+  factor_over_budget_ = false;
   in_p_.assign(static_cast<std::size_t>(g_->num_edges()), 0);
   for (EdgeId e : result_.edges) in_p_[static_cast<std::size_t>(e)] = 1;
 }
+
+namespace {
+
+// Fill guard of the kCholesky inner solver. While P is ultra-sparse its
+// min-degree factor holds 1-4 nonzeros per nonzero of L_P (meshes about 1;
+// scale-free, kNN and 3-D grid sparsifiers 2-4 at sigma^2 = 100). On
+// expander-like inputs at a tight sigma^2 the fill grows every round; at
+// about 8 one factorization costs as much as a whole AMG round (random
+// graph, 5k vertices, 10 edges per vertex, sigma^2 = 10). The ordering
+// stops as soon as it counts more than that, and since P only grows, the
+// rest of the run solves with AMG. Factors under the floor are cheap at
+// any fill and always built.
+constexpr Index kMaxFactorFill = 8;
+constexpr Index kAlwaysFactorNnz = Index{1} << 16;
+
+}  // namespace
 
 LinOp Sparsifier::make_solver(double* setup_seconds, PanelOp* panel) {
   const WallTimer timer;
@@ -89,22 +105,28 @@ LinOp Sparsifier::make_solver(double* setup_seconds, PanelOp* panel) {
   const bool tree_only = static_cast<EdgeId>(result_.edges.size()) ==
                          static_cast<EdgeId>(g_->num_vertices()) - 1;
   if (tree_only) {
-    // The backbone tree solver doubles as the PCG preconditioner of every
-    // later sparsifier (the tree stays a subgraph of P).
+    // P is the bare backbone: the O(n) tree solver is exact.
     solve_p = make_tree_solver_op(*tree_solver_);
     if (panel != nullptr) {
       *panel = make_tree_solver_panel_op(*tree_solver_);
     }
   } else {
-    lp_ = laplacian(g_->edge_subgraph(result_.edges));
-    if (opts_.inner_solver == InnerSolverKind::kAmg) {
-      amg_ = AmgHierarchy::build(lp_);
+    // Both solvers copy what they need out of L_P, so it is not kept.
+    const CsrMatrix lp = laplacian(g_->edge_subgraph(result_.edges));
+    bool factored = false;
+    if (opts_.inner_solver == InnerSolverKind::kCholesky &&
+        !factor_over_budget_) {
+      const Index budget =
+          std::max(kMaxFactorFill * lp.nnz(), kAlwaysFactorNnz);
+      factored = chol_.refactor_laplacian(
+          lp, {.ordering = CholeskyOptions::Ordering::kMinDegree}, chol_ws_,
+          -1, budget);
+      factor_over_budget_ = !factored;
+      if (factored) solve_p = make_cholesky_op(chol_);
+    }
+    if (!factored) {
+      amg_ = AmgHierarchy::build(lp);
       solve_p = make_amg_op(amg_, opts_.solver_tolerance, 200);
-    } else {
-      solve_p = make_pcg_op(lp_, *tree_precond_,
-                            {.max_iterations = 500,
-                             .rel_tolerance = opts_.solver_tolerance,
-                             .project_constants = true});
     }
   }
   if (setup_seconds != nullptr) *setup_seconds = timer.seconds();
@@ -508,7 +530,6 @@ void Sparsifier::resparsify(std::span<const double> updated_weights) {
 
   // Drop state referencing the old graph/backbone, then swap.
   tree_solver_.reset();
-  tree_precond_.reset();
   owned_backbone_.reset();
   backbone_ = nullptr;
   external_backbone_ = nullptr;
@@ -602,7 +623,6 @@ void Sparsifier::rebind(const Graph& g, const SpanningTree& backbone,
   const WallTimer timer;
   // Drop state referencing the old graph/backbone, then swap.
   tree_solver_.reset();
-  tree_precond_.reset();
   owned_backbone_.reset();
   owned_graph_.reset();
   backbone_ = nullptr;

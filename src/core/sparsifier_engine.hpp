@@ -12,11 +12,12 @@
 ///    step()-driven run reproduces the one-shot edge list bit-for-bit);
 ///  * `result()` is the accumulated `SparsifyResult` at any point;
 ///  * `refine(sigma2)` re-arms a finished engine at a new similarity
-///    target, keeping the edge set, backbone, tree solver/preconditioner,
-///    and scratch workspace — resuming densification instead of starting
-///    over (the GRASS-style iterative-refinement workflow). Per-round
-///    solver state that depends on the growing edge set (L_P, the AMG
-///    hierarchy) is rebuilt each round, warm or cold;
+///    target, keeping the edge set, backbone, tree solver, and scratch
+///    workspace — resuming densification instead of starting over (the
+///    GRASS-style iterative-refinement workflow). Per-round solver state
+///    that depends on the growing edge set (the Cholesky factor of L_P,
+///    refactored into reused storage, or the AMG hierarchy) is rebuilt
+///    each round, warm or cold;
 ///  * `resparsify(weights)` warm-starts on re-weighted edges (same
 ///    topology): the backbone tree topology and all workspace buffers are
 ///    reused; only the weight-dependent solver state is rebuilt.
@@ -68,7 +69,7 @@
 #include "core/sparsifier.hpp"
 #include "la/csr_matrix.hpp"
 #include "solver/amg.hpp"
-#include "solver/preconditioner.hpp"
+#include "solver/cholesky.hpp"
 #include "tree/spanning_tree.hpp"
 #include "tree/tree_solver.hpp"
 #include "util/rng.hpp"
@@ -281,10 +282,15 @@ class Sparsifier {
   void ensure_stretch();
   StepStatus step_impl_localized();
   void final_estimate_localized();
-  /// Builds the L_P⁺ operator for the current sparsifier. When `panel` is
-  /// non-null and the sparsifier supports a blocked multi-RHS apply (the
-  /// tree-only rounds), `*panel` receives the panel form; otherwise it is
-  /// left empty and callers fall back to column-wise solves.
+  /// Builds the L_P⁺ operator for the current sparsifier: the backbone tree
+  /// solver while P is the bare tree, otherwise a fresh factorization of
+  /// L_P (min-degree sparse Cholesky into the reused factor and workspace;
+  /// exact solves) or AMG hierarchy (kAmg, or kCholesky once a factor
+  /// exceeded the fill budget; solves to solver_tolerance).
+  /// When `panel` is non-null and the sparsifier supports a blocked
+  /// multi-RHS apply (the tree-only rounds), `*panel` receives the panel
+  /// form; otherwise it is left empty and callers fall back to column-wise
+  /// solves.
   [[nodiscard]] LinOp make_solver(double* setup_seconds,
                                   PanelOp* panel = nullptr);
   void final_estimate();
@@ -302,14 +308,17 @@ class Sparsifier {
   const SpanningTree* external_backbone_ = nullptr;
   const SpanningTree* backbone_ = nullptr;  ///< active backbone (once built)
   std::optional<TreeSolver> tree_solver_;
-  std::optional<TreePreconditioner> tree_precond_;
 
   CsrMatrix lg_;  ///< Laplacian of *g_, built once per (re)binding
   Rng rng_;
 
   // Engine-owned workspace, reused every round.
   std::vector<char> in_p_;       ///< sparsifier membership per edge id
-  CsrMatrix lp_;                 ///< current L_P (non-tree-only rounds)
+  SparseCholesky chol_;          ///< current L_P factor (kCholesky only)
+  CholeskyWorkspace chol_ws_;    ///< ordering/etree/pass scratch for chol_
+  /// Set once a round's L_P factor exceeds the fill budget; the rest of
+  /// the run (P only grows) uses AMG. Cleared when a backbone is bound.
+  bool factor_over_budget_ = false;
   AmgHierarchy amg_;             ///< current AMG hierarchy (kAmg only)
   EmbeddingWorkspace emb_ws_;    ///< power-iteration vectors
   OffTreeEmbedding emb_;         ///< off-tree heats, refilled in place

@@ -133,13 +133,16 @@ Session::Session(std::string name, const Graph& g, const DynamicOptions& opts,
   }
   // Rebuild the in-memory journal mirror so journal_lines() and the
   // offline-replay contract are oblivious to the restart.
-  for (const JournalBatch& batch : batches) {
-    for (const JournalOp& op : batch.ops) {
-      journal_.push_back(format_journal_op(op));
-    }
-    journal_.push_back("commit");
-  }
-  commits_ = static_cast<Index>(batches.size());
+  for (const JournalBatch& batch : batches) record_batch_locked(batch);
+}
+
+void Session::record_batch_locked(const JournalBatch& batch) {
+  journal_ops_.insert(journal_ops_.end(), batch.ops.begin(), batch.ops.end());
+  commit_ends_.push_back(journal_ops_.size());
+}
+
+Index Session::commits_locked() const {
+  return static_cast<Index>(commit_ends_.size());
 }
 
 void Session::require_open_locked() const {
@@ -185,14 +188,10 @@ CommitOutcome Session::commit(const JournalBatch& batch) {
   out.stats = dyn_.apply(resolved);
   // Journal only what actually applied, in apply order: the offline
   // replay of these exact lines reproduces the sparsifier bit for bit.
-  for (const JournalOp& op : batch.ops) {
-    journal_.push_back(format_journal_op(op));
-  }
-  journal_.push_back("commit");
-  ++commits_;
+  record_batch_locked(batch);
   if (persist_.enabled()) {
     persist_batch_locked(batch);
-    if (commits_ % persist_.checkpoint_every == 0) {
+    if (commits_locked() % persist_.checkpoint_every == 0) {
       persist_checkpoint_locked();
     }
   }
@@ -226,7 +225,7 @@ void Session::persist_batch_locked(const JournalBatch& batch) {
 
 void Session::persist_checkpoint_locked() {
   storage::SparsifierCheckpoint ckpt;
-  ckpt.commits = static_cast<std::uint64_t>(commits_);
+  ckpt.commits = static_cast<std::uint64_t>(commits_locked());
   ckpt.state = dyn_.restore_state();
   storage::save_checkpoint(persist_.checkpoint_path, ckpt);
 }
@@ -237,7 +236,14 @@ std::vector<std::string> Session::journal_lines() const {
     std::lock_guard<std::mutex> al(admit_mu_);
     require_open_locked();
   }
-  return journal_;
+  std::vector<std::string> lines;
+  lines.reserve(journal_ops_.size() + commit_ends_.size());
+  std::size_t i = 0;
+  for (const std::size_t end : commit_ends_) {
+    for (; i < end; ++i) lines.push_back(format_journal_op(journal_ops_[i]));
+    lines.emplace_back("commit");
+  }
+  return lines;
 }
 
 std::vector<Edge> Session::sparsifier_edges() const {
@@ -270,7 +276,7 @@ SessionInfo Session::info() const {
   info.lambda_max = res.lambda_max;
   info.reached_target = res.reached_target;
   info.batches = dyn_.batches_applied();
-  info.commits = commits_;
+  info.commits = commits_locked();
   for (const UpdateStats& s : dyn_.history()) info.total_seconds += s.seconds;
   const UpdateStats& last = dyn_.history().back();
   info.last_seconds = last.seconds;

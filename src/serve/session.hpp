@@ -22,6 +22,7 @@
 /// journal is written in apply order, batch seeds derive from the batch
 /// index, and thread counts never change a bit of output.
 
+#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -190,6 +191,11 @@ class Session {
   /// Writes the sparsifier checkpoint at the current commit count.
   /// Caller holds apply_mu_.
   void persist_checkpoint_locked();
+  /// Appends one applied batch to the in-memory journal mirror.
+  /// Caller holds apply_mu_ (or is the constructor).
+  void record_batch_locked(const JournalBatch& batch);
+  /// Committed batches so far. Caller holds apply_mu_.
+  [[nodiscard]] Index commits_locked() const;
 
   const std::string name_;
   const Index max_queued_batches_;
@@ -201,8 +207,11 @@ class Session {
 
   mutable std::mutex apply_mu_;  ///< serializes applies and reads
   DynamicSparsifier dyn_;
-  std::vector<std::string> journal_;
-  Index commits_ = 0;
+  // In-memory journal mirror: the applied ops in apply order, and the op
+  // count after each commit; journal_lines() formats them on demand. The
+  // deque grows in fixed chunks, never through a doubled, half-empty copy.
+  std::deque<JournalOp> journal_ops_;
+  std::vector<std::size_t> commit_ends_;
   std::ofstream journal_file_;  ///< append handle, opened lazily
 };
 

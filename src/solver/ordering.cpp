@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
-#include <unordered_set>
+#include <functional>
 
 #include "util/assert.hpp"
 
@@ -98,60 +97,168 @@ std::vector<Vertex> rcm_ordering(const CsrMatrix& a) {
   return result;
 }
 
-std::vector<Vertex> min_degree_ordering(const CsrMatrix& a) {
-  SSP_REQUIRE(a.rows() == a.cols(), "min_degree: matrix not square");
-  const Index n = a.rows();
-  std::vector<std::unordered_set<Vertex>> adj(static_cast<std::size_t>(n));
-  for (Index r = 0; r < n; ++r) {
-    for (Vertex c : a.row_cols(r)) {
-      if (c != r) {
-        adj[static_cast<std::size_t>(r)].insert(c);
-      }
-    }
-  }
+bool min_degree_ordering(std::span<const Index> row_ptr,
+                         std::span<const Vertex> col_idx,
+                         MinDegreeWorkspace& ws, std::vector<Vertex>& order,
+                         Index max_factor_nnz) {
+  SSP_REQUIRE(!row_ptr.empty(), "min_degree: row_ptr needs n+1 entries");
+  const auto n = static_cast<std::size_t>(row_ptr.size() - 1);
+  constexpr char kVariable = 0;
+  constexpr char kElement = 1;
+  constexpr char kAbsorbed = 2;
 
-  using HeapItem = std::pair<Index, Vertex>;  // (degree, vertex)
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-  for (Vertex v = 0; v < n; ++v) {
-    heap.emplace(static_cast<Index>(adj[static_cast<std::size_t>(v)].size()),
-                 v);
-  }
-  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
-  std::vector<Vertex> order;
-  order.reserve(static_cast<std::size_t>(n));
-
-  while (!heap.empty()) {
-    const auto [deg, v] = heap.top();
-    heap.pop();
-    if (eliminated[static_cast<std::size_t>(v)] != 0) continue;
-    if (deg != static_cast<Index>(adj[static_cast<std::size_t>(v)].size())) {
-      // Stale entry: reinsert with the current degree.
-      heap.emplace(
-          static_cast<Index>(adj[static_cast<std::size_t>(v)].size()), v);
-      continue;
+  // Quotient graph. Each vertex owns a segment of its original degree's
+  // capacity holding its adjacent elements first, then its adjacent
+  // variables. Eliminating v turns it into an element whose variable list
+  // L_v (in elem_pool) is v's fill clique; the elements adjacent to v are
+  // absorbed into it. Every variable i of L_v drops at least one segment
+  // entry (v itself, or an absorbed element) for the one it gains (v), so
+  // the segments never overflow.
+  ws.seg_begin.assign(n + 1, 0);
+  ws.lists.clear();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (auto p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
+      const Vertex c = col_idx[static_cast<std::size_t>(p)];
+      if (static_cast<std::size_t>(c) != r) ws.lists.push_back(c);
     }
-    eliminated[static_cast<std::size_t>(v)] = 1;
+    ws.seg_begin[r + 1] = static_cast<Index>(ws.lists.size());
+  }
+  ws.num_elems.assign(n, 0);
+  ws.num_vars.resize(n);
+  ws.degree.resize(n);
+  ws.heap.clear();
+  for (std::size_t v = 0; v < n; ++v) {
+    ws.num_vars[v] = ws.seg_begin[v + 1] - ws.seg_begin[v];
+    ws.degree[v] = ws.num_vars[v];
+    ws.heap.emplace_back(ws.degree[v], static_cast<Vertex>(v));
+  }
+  std::make_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+  ws.elem_begin.assign(n, 0);
+  ws.elem_len.assign(n, 0);
+  ws.elem_pool.clear();
+  ws.state.assign(n, kVariable);
+  ws.mark.assign(n, 0);
+  std::int64_t stamp = 0;
+  Index factor_nnz = 0;
+  order.clear();
+  order.reserve(n);
+
+  const auto at = [](auto& vec, auto i) -> auto& {
+    return vec[static_cast<std::size_t>(i)];
+  };
+
+  while (order.size() < n) {
+    // Smallest (degree, id) among the variables. Every degree change
+    // pushes a fresh entry, so entries whose degree no longer matches are
+    // stale and skipped.
+    std::pop_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+    const auto [deg, v] = ws.heap.back();
+    ws.heap.pop_back();
+    if (at(ws.state, v) != kVariable || deg != at(ws.degree, v)) continue;
     order.push_back(v);
-    // Form the elimination clique among v's remaining neighbors.
-    std::vector<Vertex> nbrs(adj[static_cast<std::size_t>(v)].begin(),
-                             adj[static_cast<std::size_t>(v)].end());
-    for (Vertex u : nbrs) adj[static_cast<std::size_t>(u)].erase(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        const Vertex x = nbrs[i];
-        const Vertex y = nbrs[j];
-        if (adj[static_cast<std::size_t>(x)].insert(y).second) {
-          adj[static_cast<std::size_t>(y)].insert(x);
+    at(ws.state, v) = kElement;
+
+    // L_v = (adjacent variables ∪ variables of adjacent elements) \ {v}.
+    const std::int64_t in_lv = ++stamp;
+    const Index lv_begin = static_cast<Index>(ws.elem_pool.size());
+    const Index seg = at(ws.seg_begin, v);
+    const Index v_elems = at(ws.num_elems, v);
+    const Index v_end = seg + v_elems + at(ws.num_vars, v);
+    const auto add_to_lv = [&](Vertex j) {
+      if (at(ws.state, j) == kVariable && at(ws.mark, j) != in_lv) {
+        at(ws.mark, j) = in_lv;
+        ws.elem_pool.push_back(j);
+      }
+    };
+    for (Index k = seg; k < seg + v_elems; ++k) {
+      const Vertex e = at(ws.lists, k);
+      const Index eb = at(ws.elem_begin, e);
+      for (Index p = eb; p < eb + at(ws.elem_len, e); ++p) {
+        add_to_lv(at(ws.elem_pool, p));
+      }
+      at(ws.state, e) = kAbsorbed;
+    }
+    for (Index k = seg + v_elems; k < v_end; ++k) add_to_lv(at(ws.lists, k));
+    const Index lv_len = static_cast<Index>(ws.elem_pool.size()) - lv_begin;
+    // v's degree is exact, so its factor column holds L_v and the diagonal.
+    factor_nnz += lv_len + 1;
+    if (factor_nnz > max_factor_nnz) return false;
+    at(ws.elem_begin, v) = lv_begin;
+    at(ws.elem_len, v) = lv_len;
+    at(ws.num_elems, v) = 0;
+    at(ws.num_vars, v) = 0;
+
+    // Exact degree of every i in L_v: |L_v \ {i}| plus the variables
+    // outside L_v that i reaches through its other elements or directly.
+    for (Index t = lv_begin; t < lv_begin + lv_len; ++t) {
+      const Vertex i = at(ws.elem_pool, t);
+      const std::int64_t seen = ++stamp;
+      Index degree = lv_len - 1;
+      const auto count = [&](Vertex j) {
+        const std::int64_t m = at(ws.mark, j);
+        if (m != in_lv && m != seen) {  // outside L_v, not yet counted
+          at(ws.mark, j) = seen;
+          ++degree;
+        }
+      };
+      const Index is = at(ws.seg_begin, i);
+      const Index i_elems = at(ws.num_elems, i);
+      const Index i_vars = at(ws.num_vars, i);
+      Index out = is;
+      for (Index k = is; k < is + i_elems; ++k) {
+        const Vertex e = at(ws.lists, k);
+        if (at(ws.state, e) != kElement) continue;  // absorbed
+        // Count e's variables, compacting eliminated ones out of L_e.
+        const Index eb = at(ws.elem_begin, e);
+        Index keep = eb;
+        Index outside = 0;
+        for (Index p = eb; p < eb + at(ws.elem_len, e); ++p) {
+          const Vertex j = at(ws.elem_pool, p);
+          if (at(ws.state, j) != kVariable) continue;
+          at(ws.elem_pool, keep++) = j;
+          if (at(ws.mark, j) != in_lv) ++outside;
+          count(j);
+        }
+        at(ws.elem_len, e) = keep - eb;
+        // L_e ⊆ L_v: element v now covers e for all of e's variables (each
+        // is in L_v and gets v), so e is absorbed; degrees are unchanged.
+        if (outside == 0) {
+          at(ws.state, e) = kAbsorbed;
+        } else {
+          at(ws.lists, out++) = e;
         }
       }
+      // Direct neighbors inside L_v are now reached through element v.
+      ws.kept.clear();
+      for (Index k = is + i_elems; k < is + i_elems + i_vars; ++k) {
+        const Vertex j = at(ws.lists, k);
+        if (at(ws.state, j) != kVariable || at(ws.mark, j) == in_lv) continue;
+        ws.kept.push_back(j);
+        count(j);
+      }
+      at(ws.lists, out++) = v;
+      at(ws.num_elems, i) = out - is;
+      SSP_ASSERT(out + static_cast<Index>(ws.kept.size()) <=
+                     at(ws.seg_begin, i + 1),
+                 "min_degree: quotient-graph segment overflow");
+      std::copy(ws.kept.begin(), ws.kept.end(),
+                ws.lists.begin() + static_cast<std::ptrdiff_t>(out));
+      at(ws.num_vars, i) = static_cast<Index>(ws.kept.size());
+      if (degree != at(ws.degree, i)) {
+        at(ws.degree, i) = degree;
+        ws.heap.emplace_back(degree, i);
+        std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+      }
     }
-    for (Vertex u : nbrs) {
-      heap.emplace(static_cast<Index>(adj[static_cast<std::size_t>(u)].size()),
-                   u);
-    }
-    adj[static_cast<std::size_t>(v)].clear();
   }
-  SSP_ASSERT(static_cast<Index>(order.size()) == n, "min_degree: lost vertices");
+  return true;
+}
+
+std::vector<Vertex> min_degree_ordering(const CsrMatrix& a) {
+  SSP_REQUIRE(a.rows() == a.cols(), "min_degree: matrix not square");
+  MinDegreeWorkspace ws;
+  std::vector<Vertex> order;
+  (void)min_degree_ordering(a.row_ptr(), a.col_idx(), ws, order);
   return order;
 }
 

@@ -125,6 +125,37 @@ TEST(Cli, ServeOptionsDefaultsAndOverrides) {
   }
 }
 
+TEST(Cli, InnerSolverDefaultsToCholeskyAndRejectsTreePcg) {
+  {
+    Argv a({"prog"});
+    ArgParser p("prog", "test");
+    add_sparsify_options(p);
+    ASSERT_TRUE(p.parse(a.argc(), a.argv()));
+    EXPECT_EQ(sparsify_options_from(p).inner_solver,
+              InnerSolverKind::kCholesky);
+  }
+  {
+    Argv a({"prog", "--inner-solver", "amg"});
+    ArgParser p("prog", "test");
+    add_sparsify_options(p);
+    ASSERT_TRUE(p.parse(a.argc(), a.argv()));
+    EXPECT_EQ(sparsify_options_from(p).inner_solver, InnerSolverKind::kAmg);
+  }
+  {
+    // The removed solver names its replacement instead of a generic error.
+    Argv a({"prog", "--inner-solver", "tree-pcg"});
+    ArgParser p("prog", "test");
+    add_sparsify_options(p);
+    ASSERT_TRUE(p.parse(a.argc(), a.argv()));
+    try {
+      (void)sparsify_options_from(p);
+      ADD_FAILURE() << "tree-pcg must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cholesky"), std::string::npos);
+    }
+  }
+}
+
 TEST(Cli, ServeTcpFlagForms) {
   {
     // `--tcp <port>` binds that loopback port.

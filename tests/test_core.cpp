@@ -9,6 +9,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string_view>
 
 #include "core/densify.hpp"
 #include "core/edge_filter.hpp"
@@ -17,6 +18,7 @@
 #include "core/rescale.hpp"
 #include "core/resistance_sampling.hpp"
 #include "core/sparsifier.hpp"
+#include "core/sparsifier_engine.hpp"
 #include "eigen/operators.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators/lattice.hpp"
@@ -24,6 +26,7 @@
 #include "graph/laplacian.hpp"
 #include "la/dense_eigen.hpp"
 #include "la/vector_ops.hpp"
+#include "obs/metrics.hpp"
 #include "solver/pcg.hpp"
 #include "tree/kruskal.hpp"
 #include "tree/stretch.hpp"
@@ -309,6 +312,90 @@ TEST(Sparsify, TrueConditionNumberWithinTargetOnSmallGraph) {
   EXPECT_LE(kappa, 2.0 * opts.sigma2);
 }
 
+TEST(Sparsify, ExactInnerSolvesNeverOverstateLambdaMax) {
+  // With Cholesky inner solves the power iteration's Rayleigh quotient is a
+  // true lower bound on λ_max(L_P⁺L_G). Check every round's estimate against
+  // the dense pencil oracle for the sparsifier P that round estimated.
+  std::vector<std::pair<const char*, Graph>> graphs;
+  {
+    Rng rng(31);
+    graphs.emplace_back(
+        "grid", grid_2d(10, 10, WeightModel::log_uniform(0.1, 10.0), &rng));
+  }
+  {
+    Rng rng(32);
+    graphs.emplace_back(
+        "er", erdos_renyi_connected(60, 360, rng,
+                                    WeightModel::uniform(0.5, 2.0)));
+  }
+  {
+    Rng rng(33);
+    graphs.emplace_back("ba", barabasi_albert(80, 3, rng));
+  }
+  {
+    Rng rng(34);
+    graphs.emplace_back("tri", triangulated_grid(
+                                   9, 9, WeightModel::log_uniform(0.1, 10.0),
+                                   &rng));
+  }
+  for (const auto& [name, g] : graphs) {
+    Sparsifier engine(g, SparsifyOptions{}.with_sigma2(4.0).with_seed(5));
+    const DenseMatrix lg = DenseMatrix::from_csr(laplacian(g));
+    int factored_rounds = 0;
+    while (!engine.done()) {
+      engine.step();
+      const SparsifyResult& res = engine.result();
+      const DensifyRound& round = res.rounds.back();
+      // P as estimated this round: the edges before this round's adds.
+      const std::vector<EdgeId> p_edges(
+          res.edges.begin(),
+          res.edges.end() - static_cast<std::ptrdiff_t>(round.edges_added));
+      if (p_edges.size() > res.tree_edges.size()) ++factored_rounds;
+      const Vec oracle = dense_generalized_eigenvalues(
+          lg, DenseMatrix::from_csr(laplacian(g.edge_subgraph(p_edges))));
+      EXPECT_LE(round.lambda_max, oracle.back() * (1.0 + 1e-9))
+          << name << " round " << round.round;
+    }
+    EXPECT_GT(factored_rounds, 0) << name;
+  }
+}
+
+/// Value of one counter after a run (0 when it never registered).
+std::uint64_t counter_value(const char* name) {
+  std::uint64_t value = 0;
+  obs::for_each_metric([&](const obs::MetricEntry& e) {
+    if (std::string_view(e.name) == name) value = e.counter;
+  });
+  return value;
+}
+
+TEST(Sparsify, FillGuardHandsExpanderRoundsToAmg) {
+  // On an expander at a tight σ² the per-round factor of L_P fills in as P
+  // grows. The first round whose factor would exceed the fill budget stops
+  // in the ordering, and that round and the rest of the run solve with AMG
+  // instead. A mesh sparsifier's factor stays near nnz(L_P) and is always
+  // built.
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics_for_tests();
+  Rng rng(41);
+  const Graph expander = erdos_renyi_connected(1500, 15000, rng);
+  const SparsifyResult res =
+      sparsify(expander, SparsifyOptions{}.with_sigma2(10.0));
+  EXPECT_EQ(counter_value("solver.cholesky.over_budget"), 1u);
+  EXPECT_GT(counter_value("solver.cholesky.factors"), 0u);
+  EXPECT_GT(res.num_edges(), expander.num_vertices() - 1);
+
+  obs::reset_metrics_for_tests();
+  Rng mesh_rng(42);
+  const Graph mesh =
+      grid_2d(40, 40, WeightModel::log_uniform(0.1, 10.0), &mesh_rng);
+  (void)sparsify(mesh, SparsifyOptions{}.with_sigma2(10.0));
+  EXPECT_EQ(counter_value("solver.cholesky.over_budget"), 0u);
+  EXPECT_GT(counter_value("solver.cholesky.factors"), 0u);
+  obs::set_metrics_enabled(false);
+  obs::reset_metrics_for_tests();
+}
+
 TEST(Sparsify, SigmaControlsDensity) {
   // Smaller σ² (higher similarity) must keep at least as many edges.
   Rng rng(10);
@@ -351,12 +438,12 @@ TEST(Sparsify, BackboneKindsAllWork) {
   }
 }
 
-TEST(Sparsify, AmgInnerSolverAgreesWithTreePcg) {
+TEST(Sparsify, AmgInnerSolverAgreesWithCholesky) {
   Rng rng(13);
   const Graph g = grid_2d(16, 16, WeightModel::uniform(0.5, 2.0), &rng);
   SparsifyOptions a;
   a.sigma2 = 40.0;
-  a.inner_solver = InnerSolverKind::kTreePcg;
+  a.inner_solver = InnerSolverKind::kCholesky;
   SparsifyOptions b = a;
   b.inner_solver = InnerSolverKind::kAmg;
   const SparsifyResult ra = sparsify(g, a);

@@ -435,7 +435,7 @@ TEST(OptionsIo, EnumStringRoundTrips) {
                          BackboneKind::kShortestPath}) {
     EXPECT_EQ(parse_backbone_kind(to_string(k)), k);
   }
-  for (InnerSolverKind k : {InnerSolverKind::kTreePcg, InnerSolverKind::kAmg}) {
+  for (InnerSolverKind k : {InnerSolverKind::kCholesky, InnerSolverKind::kAmg}) {
     EXPECT_EQ(parse_inner_solver_kind(to_string(k)), k);
   }
   for (SimilarityPolicy p :
@@ -444,7 +444,8 @@ TEST(OptionsIo, EnumStringRoundTrips) {
     EXPECT_EQ(parse_similarity_policy(to_string(p)), p);
   }
   EXPECT_THROW(parse_backbone_kind("mst"), std::invalid_argument);
-  EXPECT_THROW(parse_inner_solver_kind("cholesky"), std::invalid_argument);
+  EXPECT_THROW(parse_inner_solver_kind("lu"), std::invalid_argument);
+  EXPECT_THROW(parse_inner_solver_kind("tree-pcg"), std::invalid_argument);
   EXPECT_THROW(parse_similarity_policy("strict"), std::invalid_argument);
   // Stage names are distinct and never the "?" fallback.
   for (StageKind s : {StageKind::kBackbone, StageKind::kSolverSetup,

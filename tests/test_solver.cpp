@@ -7,9 +7,18 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <queue>
+#include <span>
+#include <thread>
+#include <unordered_set>
 
+#include "graph/generators/airfoil.hpp"
+#include "graph/generators/community.hpp"
+#include "graph/generators/knn.hpp"
 #include "graph/generators/lattice.hpp"
+#include "graph/generators/points.hpp"
 #include "graph/generators/random_graphs.hpp"
+#include "graph/generators/rmat.hpp"
 #include "graph/laplacian.hpp"
 #include "la/dense_matrix.hpp"
 #include "la/vector_ops.hpp"
@@ -204,6 +213,94 @@ TEST(Ordering, RcmIsPermutationAndReducesBandwidth) {
   EXPECT_LE(bandwidth(lp), bandwidth(l));
 }
 
+/// Reference minimum degree: the explicit fill-graph greedy (one hash set
+/// per vertex, elimination cliques formed eagerly, lazy (degree, id) heap).
+/// Quadratic and allocation-heavy, but obviously correct — the quotient-
+/// graph ordering must reproduce its permutation exactly.
+std::vector<Vertex> reference_min_degree_ordering(const CsrMatrix& a) {
+  const Index n = a.rows();
+  std::vector<std::unordered_set<Vertex>> adj(static_cast<std::size_t>(n));
+  for (Index r = 0; r < n; ++r) {
+    for (Vertex c : a.row_cols(r)) {
+      if (c != r) adj[static_cast<std::size_t>(r)].insert(c);
+    }
+  }
+  using HeapItem = std::pair<Index, Vertex>;  // (degree, vertex)
+  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+  for (Vertex v = 0; v < n; ++v) {
+    heap.emplace(static_cast<Index>(adj[static_cast<std::size_t>(v)].size()),
+                 v);
+  }
+  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
+  std::vector<Vertex> order;
+  while (!heap.empty()) {
+    const auto [deg, v] = heap.top();
+    heap.pop();
+    auto& av = adj[static_cast<std::size_t>(v)];
+    if (eliminated[static_cast<std::size_t>(v)] != 0) continue;
+    if (deg != static_cast<Index>(av.size())) {
+      heap.emplace(static_cast<Index>(av.size()), v);  // stale entry
+      continue;
+    }
+    eliminated[static_cast<std::size_t>(v)] = 1;
+    order.push_back(v);
+    const std::vector<Vertex> nbrs(av.begin(), av.end());
+    for (Vertex u : nbrs) adj[static_cast<std::size_t>(u)].erase(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+        if (adj[static_cast<std::size_t>(nbrs[i])].insert(nbrs[j]).second) {
+          adj[static_cast<std::size_t>(nbrs[j])].insert(nbrs[i]);
+        }
+      }
+    }
+    for (Vertex u : nbrs) {
+      heap.emplace(static_cast<Index>(adj[static_cast<std::size_t>(u)].size()),
+                   u);
+    }
+    av.clear();
+  }
+  return order;
+}
+
+TEST(Ordering, MinDegreeMatchesReferenceAcrossFamilies) {
+  std::vector<std::pair<const char*, Graph>> graphs;
+  {
+    Rng rng(71);
+    graphs.emplace_back("lattice", grid_2d(30, 30,
+                                           WeightModel::log_uniform(0.2, 5.0),
+                                           &rng));
+  }
+  {
+    Rng rng(72);
+    graphs.emplace_back("rmat", rmat_graph(9, 4, rng));
+  }
+  {
+    Rng rng(73);
+    graphs.emplace_back("community", planted_partition(400, 4, 0.05, 0.005,
+                                                       rng));
+  }
+  {
+    Rng rng(74);
+    const PointCloud pc = gaussian_mixture_points(400, 3, 5, 0.05, rng);
+    graphs.emplace_back("knn", knn_graph(pc, 5, KnnWeight::kInverseDistance));
+  }
+  graphs.emplace_back("airfoil", joukowski_airfoil_mesh(12, 40).graph);
+  graphs.emplace_back("star", star_graph(300));
+  {
+    Rng rng(75);
+    graphs.emplace_back("ba", barabasi_albert(1500, 4, rng));
+  }
+  MinDegreeWorkspace ws;  // reused across graphs of different sizes
+  std::vector<Vertex> order;
+  for (const auto& [name, g] : graphs) {
+    const CsrMatrix l = laplacian(g);
+    const std::vector<Vertex> expected = reference_min_degree_ordering(l);
+    EXPECT_EQ(min_degree_ordering(l), expected) << name;
+    min_degree_ordering(l.row_ptr(), l.col_idx(), ws, order);
+    EXPECT_EQ(order, expected) << name << " (reused workspace)";
+  }
+}
+
 TEST(Ordering, MinDegreePermutationValid) {
   const Graph g = triangulated_grid(8, 8);
   const CsrMatrix l = laplacian(g);
@@ -323,6 +420,76 @@ TEST(Cholesky, LaplacianPinChoices) {
   EXPECT_THROW(
       (void)SparseCholesky::factor_laplacian(l, {}, /*pin=*/99),
       std::invalid_argument);
+}
+
+TEST(Cholesky, RefactorIntoReusedStorageMatchesFreshFactor) {
+  // One factor and one workspace carried across graphs of different sizes
+  // and orderings (the densification loop's per-round pattern) must give
+  // the bits of a fresh factorization, and concurrent solves on one factor
+  // (the embedding's column-parallel path) must agree with a serial solve.
+  Rng rng(12);
+  std::vector<Graph> graphs;
+  graphs.push_back(grid_2d(12, 9, WeightModel::log_uniform(0.1, 10.0), &rng));
+  graphs.push_back(barabasi_albert(150, 3, rng));
+  graphs.push_back(grid_2d(5, 5));
+  SparseCholesky reused;
+  CholeskyWorkspace ws;
+  for (const Graph& g : graphs) {
+    const CsrMatrix l = laplacian(g);
+    for (auto ordering : {CholeskyOptions::Ordering::kMinDegree,
+                          CholeskyOptions::Ordering::kRcm}) {
+      reused.refactor_laplacian(l, {.ordering = ordering}, ws);
+      const SparseCholesky fresh =
+          SparseCholesky::factor_laplacian(l, {.ordering = ordering});
+      ASSERT_EQ(reused.factor_nnz(), fresh.factor_nnz());
+      const Vec b = rng.normal_vector(l.rows());
+      const Vec expected = fresh.solve(b);
+      EXPECT_EQ(reused.solve(b), expected);
+
+      std::vector<Vec> out(4);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < out.size(); ++t) {
+        threads.emplace_back([&, t] {
+          for (int rep = 0; rep < 20; ++rep) out[t] = reused.solve(b);
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      for (const Vec& x : out) EXPECT_EQ(x, expected);
+    }
+  }
+}
+
+TEST(Cholesky, FillBudgetStopsBeforeFactoring) {
+  // The budget is checked against the exact factor nonzero count: a budget
+  // of exactly nnz(L) factors, one less stops (during the min-degree pass
+  // or, for other orderings, after the symbolic pass) with the factor left
+  // empty, and the same factor and workspace refactor normally afterwards.
+  Rng rng(13);
+  const Graph g = erdos_renyi_connected(120, 720, rng);
+  const CsrMatrix l = laplacian(g);
+  const Vec b = rng.normal_vector(l.rows());
+  SparseCholesky chol;
+  CholeskyWorkspace ws;
+  for (auto ordering : {CholeskyOptions::Ordering::kMinDegree,
+                        CholeskyOptions::Ordering::kRcm}) {
+    const SparseCholesky fresh =
+        SparseCholesky::factor_laplacian(l, {.ordering = ordering});
+    const Index lnz = fresh.factor_nnz();
+    EXPECT_FALSE(
+        chol.refactor_laplacian(l, {.ordering = ordering}, ws, -1, lnz - 1));
+    EXPECT_EQ(chol.size(), 0);
+    EXPECT_EQ(chol.factor_nnz(), 0);
+    EXPECT_TRUE(
+        chol.refactor_laplacian(l, {.ordering = ordering}, ws, -1, lnz));
+    ASSERT_EQ(chol.factor_nnz(), lnz);
+    EXPECT_EQ(chol.solve(b), fresh.solve(b));
+  }
+  MinDegreeWorkspace mws;
+  std::vector<Vertex> order;
+  EXPECT_FALSE(min_degree_ordering(l.row_ptr(), l.col_idx(), mws, order, 10));
+  EXPECT_LT(order.size(), static_cast<std::size_t>(l.rows()));
+  EXPECT_TRUE(min_degree_ordering(l.row_ptr(), l.col_idx(), mws, order));
+  EXPECT_EQ(order, min_degree_ordering(l));
 }
 
 TEST(Cholesky, PreconditionerAdapterWorks) {

@@ -220,8 +220,8 @@ inline ArgParser& add_sparsify_options(ArgParser& args) {
       .option("similarity", "batch policy: none|node-disjoint|bounded",
               "node-disjoint")
       .option("node-cap", "per-endpoint budget (similarity=bounded)", "2")
-      .option("inner-solver", "L_P solver: tree-pcg|amg", "tree-pcg")
-      .option("solver-tolerance", "relative tolerance of inner solves",
+      .option("inner-solver", "L_P solver: cholesky|amg", "cholesky")
+      .option("solver-tolerance", "relative tolerance of AMG inner solves",
               "1e-4");
   return add_execution_options(args);
 }
@@ -241,7 +241,7 @@ inline ArgParser& add_sparsify_options(ArgParser& args) {
           parse_similarity_policy(args.get("similarity", "node-disjoint")))
       .with_node_cap(args.get_int("node-cap", 2))
       .with_inner_solver(
-          parse_inner_solver_kind(args.get("inner-solver", "tree-pcg")))
+          parse_inner_solver_kind(args.get("inner-solver", "cholesky")))
       .with_solver_tolerance(args.get_double("solver-tolerance", 1e-4))
       .with_threads(static_cast<int>(args.get_int("threads", 0)))
       .with_seed(seed_from(args));

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
       .option("method", "cg|jacobi|ichol|tree|sparsifier|cholesky|amg",
               "sparsifier")
       .option("sigma2", "sparsifier target (method=sparsifier)", "100")
-      .option("inner-solver", "sparsifier inner solver: tree-pcg|amg",
-              "tree-pcg")
+      .option("inner-solver", "sparsifier inner solver: cholesky|amg",
+              "cholesky")
       .option("tol", "relative residual tolerance", "1e-6")
       .option("max-iters", "PCG iteration limit", "5000");
   cli::add_execution_options(args, "random RHS seed");
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
           SparsifyOptions{}
               .with_sigma2(args.get_double("sigma2", 100.0))
               .with_inner_solver(parse_inner_solver_kind(
-                  args.get("inner-solver", "tree-pcg")));
+                  args.get("inner-solver", "cholesky")));
       const SparsifyResult sp = sparsify(g, sopts);
       std::printf("sparsifier: %lld edges, sigma2 est %.2f, built in %.2fs\n",
                   static_cast<long long>(sp.num_edges()), sp.sigma2_estimate,
