@@ -58,7 +58,7 @@ enum class BackboneKind {
 /// step 1; the paper uses graph-theoretic AMG [13,24]). Rounds whose P is
 /// still the bare backbone always use the exact O(n) tree solver.
 enum class InnerSolverKind {
-  kCholesky,  ///< sparse Cholesky of L_P, min-degree ordered (default)
+  kCholesky,  ///< sparse Cholesky of L_P, AMD ordered (default)
   kAmg        ///< aggregation AMG V-cycles
 };
 
@@ -100,9 +100,10 @@ struct SparsifyOptions {
   /// Per-endpoint budget for SimilarityPolicy::kBounded.
   Index node_cap = 2;
   /// Cholesky default: P is a spanning tree plus a small share of
-  /// off-tree edges, so a minimum-degree factor of L_P stays near |Es|
-  /// nonzeros and is built once per round; every λ_max and embedding solve
-  /// is then two exact triangular sweeps (see the inner-solver ablation).
+  /// off-tree edges, so an approximate-minimum-degree factor of L_P stays
+  /// near |Es| nonzeros and is built once per round; every λ_max and
+  /// embedding solve is then two exact triangular sweeps (see the
+  /// inner-solver ablation).
   /// Where the factor fills in (expander-like graphs at a tight σ²), the
   /// first round past the engine's fill budget and every later round of
   /// the run use AMG instead.

@@ -93,7 +93,10 @@ namespace {
 // graph, 5k vertices, 10 edges per vertex, sigma^2 = 10). The ordering
 // stops as soon as it counts more than that, and since P only grows, the
 // rest of the run solves with AMG. Factors under the floor are cheap at
-// any fill and always built.
+// any fill and always built. The count is exact although the ordering's
+// degrees are only AMD upper bounds: the bounds only pick which vertex
+// goes next, while each eliminated vertex's fill clique is still formed
+// explicitly, and its size plus one is that factor column's nonzeros.
 constexpr Index kMaxFactorFill = 8;
 constexpr Index kAlwaysFactorNnz = Index{1} << 16;
 

@@ -3,11 +3,12 @@
 /// \file sparsifier_preconditioner.hpp
 /// The production preconditioner built from a similarity-aware sparsifier:
 /// L_P is *factored once* by sparse Cholesky — an ultra-sparse P (tree plus
-/// a small fraction of off-tree edges) factors with near-zero fill under a
-/// min-degree ordering, so each PCG application costs two triangular
-/// solves over ~O(|V|) nonzeros and the operator is exactly fixed (as CG
-/// requires). This realizes the paper's Table 2/3 usage: "the spectral
-/// sparsifier … is leveraged as a preconditioner in a PCG solver".
+/// a small fraction of off-tree edges) factors with near-zero fill under an
+/// approximate-minimum-degree ordering, so each PCG application costs two
+/// triangular solves over ~O(|V|) nonzeros and the operator is exactly
+/// fixed (as CG requires). This realizes the paper's Table 2/3 usage: "the
+/// spectral sparsifier … is leveraged as a preconditioner in a PCG
+/// solver".
 
 #include "graph/graph.hpp"
 #include "graph/laplacian.hpp"

@@ -76,8 +76,7 @@ DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
   stats.sigma2_estimate = r.sigma2_estimate;
   stats.reached_target = r.reached_target;
   for (const double s : stats.stage_seconds) stats.seconds += s;
-  history_.push_back(stats);
-  if (observer_ != nullptr) observer_->on_update(history_.back());
+  record(stats);
 }
 
 DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
@@ -116,6 +115,7 @@ DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
                           state.sigma2_estimate, state.reached_target,
                           state.status);
   history_ = state.history;
+  for (const UpdateStats& s : history_) total_seconds_ += s.seconds;
 }
 
 DynamicRestoreState DynamicSparsifier::restore_state() const {
@@ -480,9 +480,14 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
       obs::counter_add("dynamic.route.rebuild", 1);
       break;
   }
-  history_.push_back(stats);
-  if (observer_ != nullptr) observer_->on_update(history_.back());
+  record(stats);
   return history_.back();
+}
+
+void DynamicSparsifier::record(const UpdateStats& stats) {
+  history_.push_back(stats);
+  total_seconds_ += stats.seconds;
+  if (observer_ != nullptr) observer_->on_update(history_.back());
 }
 
 UpdateStats DynamicSparsifier::insert_edges(std::span<const Edge> edges) {

@@ -287,6 +287,11 @@ class DynamicSparsifier {
     return history_;
   }
 
+  /// Sum of history()[k].seconds, accumulated in batch order as batches
+  /// apply (and on restore), so it equals the summed history bit for bit
+  /// without rescanning it.
+  [[nodiscard]] double total_seconds() const { return total_seconds_; }
+
   /// Batches applied, counting the initial build.
   [[nodiscard]] Index batches_applied() const {
     return static_cast<Index>(history_.size());
@@ -320,6 +325,9 @@ class DynamicSparsifier {
   [[nodiscard]] std::uint64_t batch_seed(Index batch) const {
     return batch_seed(opts_.base.seed, batch);
   }
+  /// Appends one batch's telemetry to the history and notifies the
+  /// observer.
+  void record(const UpdateStats& stats);
   void validate_batch(const UpdateBatch& batch) const;
   void rebuild_backbone_cold();
   void notify_stage(DynamicStage stage, double seconds,
@@ -341,6 +349,7 @@ class DynamicSparsifier {
   std::optional<Sparsifier> engine_;
   DynamicObserver* observer_ = nullptr;
   std::vector<UpdateStats> history_;
+  double total_seconds_ = 0.0;  ///< see total_seconds()
   /// Connectivity pre-check scratch, reset() per batch instead of
   /// reallocated.
   mutable UnionFind uf_scratch_{0};

@@ -277,7 +277,7 @@ SessionInfo Session::info() const {
   info.reached_target = res.reached_target;
   info.batches = dyn_.batches_applied();
   info.commits = commits_locked();
-  for (const UpdateStats& s : dyn_.history()) info.total_seconds += s.seconds;
+  info.total_seconds = dyn_.total_seconds();
   const UpdateStats& last = dyn_.history().back();
   info.last_seconds = last.seconds;
   info.last_route = last.route;

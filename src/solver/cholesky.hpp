@@ -4,9 +4,9 @@
 /// Simplicial sparse Cholesky factorization — the repo's stand-in for the
 /// CHOLMOD direct solver the paper uses as the Table 3 baseline [5].
 ///
-/// Pipeline: fill-reducing ordering (RCM default; exact minimum degree for
-/// the ultra-sparse sparsifier Laplacians) → elimination tree → per-row
-/// pattern via `ereach` → up-looking numeric factorization
+/// Pipeline: fill-reducing ordering (RCM default; approximate minimum
+/// degree for the ultra-sparse sparsifier Laplacians) → elimination tree →
+/// per-row pattern via `ereach` → up-looking numeric factorization
 /// (CSparse/`cs_chol` lineage, Davis 2006). The factor is stored in CSC
 /// with the diagonal entry first in each column. The densification loop
 /// factors L_P once per round (`refactor_laplacian` over a reused

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <functional>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -103,9 +103,10 @@ bool min_degree_ordering(std::span<const Index> row_ptr,
                          Index max_factor_nnz) {
   SSP_REQUIRE(!row_ptr.empty(), "min_degree: row_ptr needs n+1 entries");
   const auto n = static_cast<std::size_t>(row_ptr.size() - 1);
-  constexpr char kVariable = 0;
-  constexpr char kElement = 1;
-  constexpr char kAbsorbed = 2;
+  enum : char { kVariable, kElement, kAbsorbed };
+  const auto at = [](auto& vec, auto i) -> auto& {
+    return vec[static_cast<std::size_t>(i)];
+  };
 
   // Quotient graph. Each vertex owns a segment of its original degree's
   // capacity holding its adjacent elements first, then its adjacent
@@ -126,48 +127,76 @@ bool min_degree_ordering(std::span<const Index> row_ptr,
   ws.num_elems.assign(n, 0);
   ws.num_vars.resize(n);
   ws.degree.resize(n);
-  ws.heap.clear();
-  for (std::size_t v = 0; v < n; ++v) {
-    ws.num_vars[v] = ws.seg_begin[v + 1] - ws.seg_begin[v];
-    ws.degree[v] = ws.num_vars[v];
-    ws.heap.emplace_back(ws.degree[v], static_cast<Vertex>(v));
-  }
-  std::make_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+  ws.outside.resize(n);
   ws.elem_begin.assign(n, 0);
   ws.elem_len.assign(n, 0);
   ws.elem_pool.clear();
   ws.state.assign(n, kVariable);
   ws.mark.assign(n, 0);
-  std::int64_t stamp = 0;
   Index factor_nnz = 0;
   order.clear();
   order.reserve(n);
 
-  const auto at = [](auto& vec, auto i) -> auto& {
-    return vec[static_cast<std::size_t>(i)];
+  // Degree buckets: doubly linked lists of the variables of each degree
+  // (linked at the head); no bucket below `min_deg` is nonempty.
+  ws.head.assign(n, kInvalidVertex);
+  ws.next.resize(n);
+  ws.prev.resize(n);
+  Index min_deg = 0;
+  const auto link = [&](Vertex i) {
+    const Index d = at(ws.degree, i);
+    at(ws.next, i) = at(ws.head, d);
+    at(ws.prev, i) = kInvalidVertex;
+    if (at(ws.next, i) != kInvalidVertex) at(ws.prev, at(ws.next, i)) = i;
+    at(ws.head, d) = i;
+    min_deg = std::min(min_deg, d);
   };
+  const auto unlink = [&](Vertex i) {
+    const Vertex nx = at(ws.next, i);
+    const Vertex pv = at(ws.prev, i);
+    if (nx != kInvalidVertex) at(ws.prev, nx) = pv;
+    (pv != kInvalidVertex ? at(ws.next, pv) : at(ws.head, at(ws.degree, i))) =
+        nx;
+  };
+  for (std::size_t v = n; v-- > 0;) {  // smallest id at each bucket's head
+    ws.degree[v] = ws.num_vars[v] = ws.seg_begin[v + 1] - ws.seg_begin[v];
+    link(static_cast<Vertex>(v));
+  }
 
   while (order.size() < n) {
-    // Smallest (degree, id) among the variables. Every degree change
-    // pushes a fresh entry, so entries whose degree no longer matches are
-    // stale and skipped.
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
-    const auto [deg, v] = ws.heap.back();
-    ws.heap.pop_back();
-    if (at(ws.state, v) != kVariable || deg != at(ws.degree, v)) continue;
+    while (at(ws.head, min_deg) == kInvalidVertex) ++min_deg;
+    const Vertex v = at(ws.head, min_deg);
+    unlink(v);
     order.push_back(v);
     at(ws.state, v) = kElement;
 
-    // L_v = (adjacent variables ∪ variables of adjacent elements) \ {v}.
-    const std::int64_t in_lv = ++stamp;
+    // L_v = (adjacent variables ∪ variables of adjacent elements) \ {v}
+    // is v's exact adjacency in the elimination graph (approximate degrees
+    // only choose v), so v's factor column holds L_v and the diagonal.
+    // Adding i to L_v also counts |L_e \ L_v| down for the elements e of
+    // i (a live element holds only variables: eliminating one absorbs it);
+    // at zero, L_e ⊆ L_v and element v absorbs e.
+    const auto in_lv = static_cast<std::int64_t>(order.size());  // stamp
     const Index lv_begin = static_cast<Index>(ws.elem_pool.size());
     const Index seg = at(ws.seg_begin, v);
     const Index v_elems = at(ws.num_elems, v);
     const Index v_end = seg + v_elems + at(ws.num_vars, v);
-    const auto add_to_lv = [&](Vertex j) {
-      if (at(ws.state, j) == kVariable && at(ws.mark, j) != in_lv) {
-        at(ws.mark, j) = in_lv;
-        ws.elem_pool.push_back(j);
+    for (Index k = seg; k < seg + v_elems; ++k) {
+      at(ws.state, at(ws.lists, k)) = kAbsorbed;
+    }
+    const auto add_to_lv = [&](Vertex i) {
+      if (at(ws.state, i) != kVariable || at(ws.mark, i) == in_lv) return;
+      at(ws.mark, i) = in_lv;
+      ws.elem_pool.push_back(i);
+      const Index is = at(ws.seg_begin, i);
+      for (Index k = is; k < is + at(ws.num_elems, i); ++k) {
+        const Vertex e = at(ws.lists, k);
+        if (at(ws.state, e) != kElement) continue;
+        if (at(ws.mark, e) != in_lv) {
+          at(ws.mark, e) = in_lv;
+          at(ws.outside, e) = at(ws.elem_len, e);
+        }
+        if (--at(ws.outside, e) == 0) at(ws.state, e) = kAbsorbed;
       }
     };
     for (Index k = seg; k < seg + v_elems; ++k) {
@@ -176,79 +205,50 @@ bool min_degree_ordering(std::span<const Index> row_ptr,
       for (Index p = eb; p < eb + at(ws.elem_len, e); ++p) {
         add_to_lv(at(ws.elem_pool, p));
       }
-      at(ws.state, e) = kAbsorbed;
     }
     for (Index k = seg + v_elems; k < v_end; ++k) add_to_lv(at(ws.lists, k));
     const Index lv_len = static_cast<Index>(ws.elem_pool.size()) - lv_begin;
-    // v's degree is exact, so its factor column holds L_v and the diagonal.
     factor_nnz += lv_len + 1;
     if (factor_nnz > max_factor_nnz) return false;
     at(ws.elem_begin, v) = lv_begin;
     at(ws.elem_len, v) = lv_len;
-    at(ws.num_elems, v) = 0;
-    at(ws.num_vars, v) = 0;
 
-    // Exact degree of every i in L_v: |L_v \ {i}| plus the variables
-    // outside L_v that i reaches through its other elements or directly.
+    // AMD degree bound of every i in L_v: |L_v \ {i}| plus what i reaches
+    // outside L_v through its other elements and directly, capped by the
+    // variables left and by i's old bound grown by L_v. Absorbed elements
+    // and direct neighbors in L_v leave i's lists, and v joins them.
+    const Index n_left = static_cast<Index>(n - order.size());
     for (Index t = lv_begin; t < lv_begin + lv_len; ++t) {
       const Vertex i = at(ws.elem_pool, t);
-      const std::int64_t seen = ++stamp;
-      Index degree = lv_len - 1;
-      const auto count = [&](Vertex j) {
-        const std::int64_t m = at(ws.mark, j);
-        if (m != in_lv && m != seen) {  // outside L_v, not yet counted
-          at(ws.mark, j) = seen;
-          ++degree;
-        }
-      };
       const Index is = at(ws.seg_begin, i);
-      const Index i_elems = at(ws.num_elems, i);
-      const Index i_vars = at(ws.num_vars, i);
+      const Index vars_begin = is + at(ws.num_elems, i);
+      Index reach = 0;
       Index out = is;
-      for (Index k = is; k < is + i_elems; ++k) {
+      for (Index k = is; k < vars_begin; ++k) {
         const Vertex e = at(ws.lists, k);
-        if (at(ws.state, e) != kElement) continue;  // absorbed
-        // Count e's variables, compacting eliminated ones out of L_e.
-        const Index eb = at(ws.elem_begin, e);
-        Index keep = eb;
-        Index outside = 0;
-        for (Index p = eb; p < eb + at(ws.elem_len, e); ++p) {
-          const Vertex j = at(ws.elem_pool, p);
-          if (at(ws.state, j) != kVariable) continue;
-          at(ws.elem_pool, keep++) = j;
-          if (at(ws.mark, j) != in_lv) ++outside;
-          count(j);
-        }
-        at(ws.elem_len, e) = keep - eb;
-        // L_e ⊆ L_v: element v now covers e for all of e's variables (each
-        // is in L_v and gets v), so e is absorbed; degrees are unchanged.
-        if (outside == 0) {
-          at(ws.state, e) = kAbsorbed;
-        } else {
-          at(ws.lists, out++) = e;
-        }
+        if (at(ws.state, e) != kElement) continue;
+        reach += at(ws.outside, e);
+        at(ws.lists, out++) = e;
       }
-      // Direct neighbors inside L_v are now reached through element v.
-      ws.kept.clear();
-      for (Index k = is + i_elems; k < is + i_elems + i_vars; ++k) {
+      const Index elems_end = out;
+      for (Index k = vars_begin; k < vars_begin + at(ws.num_vars, i); ++k) {
         const Vertex j = at(ws.lists, k);
-        if (at(ws.state, j) != kVariable || at(ws.mark, j) == in_lv) continue;
-        ws.kept.push_back(j);
-        count(j);
+        if (at(ws.state, j) == kVariable && at(ws.mark, j) != in_lv) {
+          at(ws.lists, out++) = j;
+        }
       }
-      at(ws.lists, out++) = v;
-      at(ws.num_elems, i) = out - is;
-      SSP_ASSERT(out + static_cast<Index>(ws.kept.size()) <=
-                     at(ws.seg_begin, i + 1),
+      SSP_ASSERT(out < at(ws.seg_begin, i + 1),
                  "min_degree: quotient-graph segment overflow");
-      std::copy(ws.kept.begin(), ws.kept.end(),
-                ws.lists.begin() + static_cast<std::ptrdiff_t>(out));
-      at(ws.num_vars, i) = static_cast<Index>(ws.kept.size());
-      if (degree != at(ws.degree, i)) {
-        at(ws.degree, i) = degree;
-        ws.heap.emplace_back(degree, i);
-        std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
-      }
+      // v takes the first variable slot, whose variable moves to the end.
+      at(ws.lists, out) = at(ws.lists, elems_end);
+      at(ws.lists, elems_end) = v;
+      at(ws.num_elems, i) = elems_end - is + 1;
+      at(ws.num_vars, i) = out - elems_end;
+      reach += out - elems_end;
+      unlink(i);
+      at(ws.degree, i) = std::min(
+          {n_left - 1, at(ws.degree, i) + lv_len - 1, lv_len - 1 + reach});
+      link(i);
     }
   }
   return true;

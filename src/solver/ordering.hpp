@@ -6,17 +6,19 @@
 /// * Reverse Cuthill–McKee (default): bandwidth-reducing BFS ordering from
 ///   a pseudo-peripheral vertex — effective on the mesh matrices of the
 ///   paper's Table 3 direct-solver baseline.
-/// * Exact minimum degree: repeatedly eliminates the vertex of smallest
-///   degree in the elimination graph, ties broken by smallest id. Runs on a
-///   quotient graph (eliminated vertices become elements holding their
-///   fill clique implicitly) over flat, reusable arrays; degrees are exact,
-///   so the permutation equals the explicit fill-graph greedy's. The
-///   default ordering of the densification loop's L_P factorizations.
+/// * Approximate minimum degree (AMD; Amestoy, Davis & Duff, SIAM J.
+///   Matrix Anal. Appl. 17(4), 1996 — the ordering CHOLMOD uses): repeatedly
+///   eliminates a variable of smallest AMD degree bound on a quotient graph
+///   (eliminated vertices become elements holding their fill clique
+///   implicitly) over flat, reusable arrays, with degree buckets and
+///   aggressive element absorption. The fill clique of each eliminated
+///   vertex is still formed explicitly, so the factor's nonzero count is
+///   exact. The default ordering of the densification loop's L_P
+///   factorizations.
 
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "la/csr_matrix.hpp"
@@ -38,19 +40,21 @@ struct MinDegreeWorkspace {
   std::vector<Index> elem_begin;   ///< element e's variables in elem_pool
   std::vector<Index> elem_len;
   std::vector<Vertex> elem_pool;
-  std::vector<Index> degree;       ///< exact elimination-graph degree
+  std::vector<Index> degree;       ///< AMD upper bound on the degree
+  std::vector<Index> outside;      ///< per element: |L_e \ L_v| this step
   std::vector<char> state;         ///< variable / element / absorbed element
-  std::vector<std::int64_t> mark;  ///< set-union stamps
-  std::vector<std::pair<Index, Vertex>> heap;  ///< lazy (degree, id) min-heap
-  std::vector<Vertex> kept;        ///< surviving variables of one segment
+  std::vector<std::int64_t> mark;  ///< L_v membership / `outside` stamps
+  std::vector<Vertex> head;        ///< degree buckets: first variable
+  std::vector<Vertex> next;        ///< next variable in the same bucket
+  std::vector<Vertex> prev;        ///< previous variable in the same bucket
 };
 
-/// Minimum-degree ordering of the pattern given as raw CSR arrays
-/// (`row_ptr` of size n+1; diagonal entries ignored). Overwrites `order`.
-/// Degrees are exact, so the running sum of (degree + 1) over eliminated
-/// vertices is the nonzero count of the Cholesky factor under this order;
-/// once it exceeds `max_factor_nnz` the pass stops, leaving `order`
-/// partial, and returns false.
+/// Approximate-minimum-degree ordering of the pattern given as raw CSR
+/// arrays (`row_ptr` of size n+1; diagonal entries ignored). Overwrites
+/// `order`. Each eliminated vertex's fill clique is formed exactly, so the
+/// running sum of (|clique| + 1) is the nonzero count of the Cholesky
+/// factor under this order; once it exceeds `max_factor_nnz` the pass
+/// stops, leaving `order` partial, and returns false.
 bool min_degree_ordering(
     std::span<const Index> row_ptr, std::span<const Vertex> col_idx,
     MinDegreeWorkspace& ws, std::vector<Vertex>& order,

@@ -29,6 +29,7 @@ class Argv {
 TEST(Cli, ParsesKeyValuePairs) {
   Argv a({"prog", "--in", "file.mtx", "--sigma2", "50"});
   ArgParser p("prog", "test");
+  p.option("in", "input").option("sigma2", "target");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_EQ(p.get("in", ""), "file.mtx");
   EXPECT_DOUBLE_EQ(p.get_double("sigma2", 0.0), 50.0);
@@ -37,6 +38,7 @@ TEST(Cli, ParsesKeyValuePairs) {
 TEST(Cli, ParsesEqualsForm) {
   Argv a({"prog", "--sigma2=123.5", "--name=x"});
   ArgParser p("prog", "test");
+  p.option("sigma2", "target").option("name", "name");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_DOUBLE_EQ(p.get_double("sigma2", 0.0), 123.5);
   EXPECT_EQ(p.get("name", ""), "x");
@@ -45,6 +47,7 @@ TEST(Cli, ParsesEqualsForm) {
 TEST(Cli, BooleanFlags) {
   Argv a({"prog", "--verbose", "--out", "o.mtx"});
   ArgParser p("prog", "test");
+  p.option("verbose", "flag").option("quiet", "flag").option("out", "output");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_TRUE(p.get_bool("verbose", false));
   EXPECT_FALSE(p.get_bool("quiet", false));
@@ -55,6 +58,7 @@ TEST(Cli, BooleanFlags) {
 TEST(Cli, TrailingFlagIsBoolean) {
   Argv a({"prog", "--check"});
   ArgParser p("prog", "test");
+  p.option("check", "flag");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_TRUE(p.get_bool("check", false));
 }
@@ -78,6 +82,7 @@ TEST(Cli, RequireThrowsWhenMissing) {
 TEST(Cli, TypedGettersValidate) {
   Argv a({"prog", "--n", "abc"});
   ArgParser p("prog", "test");
+  p.option("n", "count");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_THROW((void)p.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW((void)p.get_double("n", 0.0), std::invalid_argument);
@@ -87,10 +92,47 @@ TEST(Cli, TypedGettersValidate) {
 TEST(Cli, PositionalArguments) {
   Argv a({"prog", "input.mtx", "--k", "3", "extra"});
   ArgParser p("prog", "test");
+  p.option("k", "count");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   ASSERT_EQ(p.positional().size(), 2u);
   EXPECT_EQ(p.positional()[0], "input.mtx");
   EXPECT_EQ(p.positional()[1], "extra");
+}
+
+TEST(Cli, RejectsUnregisteredOptionsNamingThem) {
+  // A misspelled flag must not silently fall back to its default:
+  // `--sigma 50` (for --sigma2) used to run σ² = 100 and exit 0.
+  const auto error_of = [](std::vector<std::string> argv) -> std::string {
+    Argv a(std::move(argv));
+    ArgParser p("prog", "test");
+    add_sparsify_options(p);
+    try {
+      (void)p.parse(a.argc(), a.argv());
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of({"prog", "--definitely-bogus", "3", "--sigma2", "50"}),
+            "unknown option --definitely-bogus");
+  EXPECT_EQ(error_of({"prog", "--sigma2", "50", "--sigma", "50"}),
+            "unknown option --sigma");
+  EXPECT_EQ(error_of({"prog", "--bogus=1"}), "unknown option --bogus");
+  EXPECT_EQ(error_of({"prog", "--sigma2", "50", "--bogus"}),
+            "unknown option --bogus");
+  EXPECT_EQ(error_of({"prog", "--sigma2=50", "--seed", "7"}), "");
+
+  // Through the tool scaffold: exit code 1, and the body never runs.
+  Argv a({"prog", "--definitely-bogus", "3", "--sigma", "50"});
+  ArgParser p("prog", "test");
+  add_sparsify_options(p);
+  bool ran = false;
+  EXPECT_EQ(run_tool(p, a.argc(), a.argv(), [&] {
+              ran = true;
+              return 0;
+            }),
+            1);
+  EXPECT_FALSE(ran);
 }
 
 TEST(Cli, ServeOptionsDefaultsAndOverrides) {

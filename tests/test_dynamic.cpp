@@ -669,6 +669,33 @@ TEST(Dynamic, OneShotWrapperMatchesManualReplay) {
   EXPECT_EQ(one_shot.history.size(), manual.history().size());
 }
 
+TEST(Dynamic, TotalSecondsIsTheHistorySumAcrossARestore) {
+  // The running total is the history summed in batch order, bit for bit,
+  // after N batches, after a warm restore, and after batches applied to
+  // the restored instance.
+  const auto history_sum = [](const DynamicSparsifier& d) {
+    double sum = 0.0;
+    for (const UpdateStats& s : d.history()) sum += s.seconds;
+    return sum;
+  };
+  const Graph g = small_grid(41);
+  Rng script_rng(56);
+  const std::vector<UpdateBatch> script =
+      make_update_script(g, script_rng, ScriptOptions{.batches = 6});
+  DynamicSparsifier dyn(g, incremental_options());
+  EXPECT_EQ(dyn.total_seconds(), history_sum(dyn));
+  for (std::size_t b = 0; b < 4; ++b) dyn.apply(script[b]);
+  EXPECT_EQ(dyn.total_seconds(), history_sum(dyn));
+  EXPECT_GT(dyn.total_seconds(), 0.0);
+
+  DynamicSparsifier restored(dyn.graph(), incremental_options(),
+                             dyn.restore_state());
+  EXPECT_EQ(restored.total_seconds(), dyn.total_seconds());
+  for (std::size_t b = 4; b < script.size(); ++b) restored.apply(script[b]);
+  EXPECT_EQ(restored.history().size(), script.size() + 1);
+  EXPECT_EQ(restored.total_seconds(), history_sum(restored));
+}
+
 TEST(Dynamic, OptionsValidate) {
   EXPECT_THROW(DynamicOptions{}.with_rebuild_threshold(-0.1),
                std::invalid_argument);

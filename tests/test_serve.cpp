@@ -668,6 +668,44 @@ TEST(SessionStore, CommitMissingItsNewlineIsTorn) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SessionStore, StatsTotalSecondsIsTheHistorySumAcrossARestart) {
+  // `stats` reports the per-batch seconds summed in apply order — the
+  // initial build's, then each commit's — and a warm restart from the
+  // final checkpoint resumes the same running total.
+  const std::string dir = temp_state_dir("total");
+  std::filesystem::remove_all(dir);
+  const ServeOptions opts = ServeOptions{}
+                                .with_dynamic(test_dynamic_options())
+                                .with_state_dir(dir);
+  const auto commit_reweight = [](Session& s, Vertex u, double w) {
+    JournalBatch b;
+    b.ops.push_back({JournalOp::Kind::kReweight, u, u + 1, w, 0});
+    const CommitOutcome o = s.commit(b);
+    EXPECT_TRUE(o.accepted);
+    return o.stats.seconds;
+  };
+  double expected = 0.0;
+  {
+    SessionManager mgr(opts);
+    const auto s = mgr.open("g", "gen:grid2d:6x6:3");
+    expected = s->info().last_seconds;  // the initial build
+    EXPECT_EQ(s->info().total_seconds, expected);
+    for (Vertex u = 0; u < 5; ++u) {
+      expected += commit_reweight(*s, u, 1.5 + u);
+      EXPECT_EQ(s->info().total_seconds, expected);
+    }
+    mgr.close_all();  // final checkpoint: the restart replays no tail
+  }
+  SessionManager mgr(opts);
+  ASSERT_EQ(mgr.restore_all().size(), 1u);
+  const auto s = mgr.attach("g");
+  EXPECT_EQ(s->info().commits, 5);
+  EXPECT_EQ(s->info().total_seconds, expected);
+  expected += commit_reweight(*s, 6, 0.75);
+  EXPECT_EQ(s->info().total_seconds, expected);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SessionStore, RestartAfterCrashDoesNotMergeTornOpsIntoNextBatch) {
   const std::string dir = temp_state_dir("restart");
   std::filesystem::remove_all(dir);

@@ -2,11 +2,13 @@
 
 /// \file cli.hpp
 /// Command-line parsing for the ssp tools. `ArgParser` supports `--flag`,
-/// `--key value` and `--key=value` forms, typed lookup with defaults,
-/// required-argument checks, and usage text generation; the helpers below
-/// it declare each shared flag set exactly once (--threads/--seed, the
-/// SparsifyOptions surface, and the partition-parallel
-/// --partitions/--cut-policy group) so the four tools stay in sync.
+/// `--key value` and `--key=value` forms of registered options only
+/// (anything else is an error naming the option), typed lookup with
+/// defaults, required-argument checks, and usage text generation; the
+/// helpers below it declare each shared flag set exactly once
+/// (--threads/--seed, the SparsifyOptions surface, and the
+/// partition-parallel --partitions/--cut-policy group) so the four tools
+/// stay in sync.
 
 #include <cstdint>
 #include <cstdio>
@@ -35,15 +37,17 @@ class ArgParser {
   ArgParser(std::string program, std::string description)
       : program_(std::move(program)), description_(std::move(description)) {}
 
-  /// Registers an option (for usage text; parsing is lenient).
+  /// Registers an option: parse() accepts only registered options, and
+  /// usage() lists them.
   ArgParser& option(const std::string& name, const std::string& help,
                     const std::string& default_value = "") {
     help_.push_back({name, help, default_value});
     return *this;
   }
 
-  /// Parses argv. Throws std::invalid_argument on malformed input.
-  /// Returns false when --help was requested (usage printed by caller).
+  /// Parses argv. Throws std::invalid_argument on malformed input and on
+  /// options that were never registered (naming the option). Returns
+  /// false when --help was requested (usage printed by caller).
   bool parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
@@ -54,6 +58,7 @@ class ArgParser {
       }
       arg = arg.substr(2);
       const auto eq = arg.find('=');
+      require_registered(arg.substr(0, eq));
       if (eq != std::string::npos) {
         values_[arg.substr(0, eq)] = arg.substr(eq + 1);
         continue;
@@ -134,6 +139,13 @@ class ArgParser {
   }
 
  private:
+  void require_registered(const std::string& name) const {
+    for (const auto& h : help_) {
+      if (h.name == name) return;
+    }
+    throw std::invalid_argument("unknown option --" + name);
+  }
+
   struct HelpEntry {
     std::string name;
     std::string help;

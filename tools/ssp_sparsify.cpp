@@ -305,9 +305,7 @@ int run_dynamic(const ssp::cli::ArgParser& args, const ssp::Graph& g,
   std::printf("sigma2: target %.3f, estimate %.3f (%s)\n", base.sigma2,
               res.sigma2_estimate,
               res.reached_target ? "reached" : "NOT reached");
-  double total_seconds = 0.0;
-  for (const ssp::UpdateStats& s : dyn.history()) total_seconds += s.seconds;
-  std::printf("time %.3fs\n", total_seconds);
+  std::printf("time %.3fs\n", dyn.total_seconds());
 
   if (args.has("out")) {
     const ssp::Graph p = res.extract(dyn.graph());
