@@ -30,16 +30,6 @@ const char* to_string(InnerSolverKind kind) {
   return "?";
 }
 
-const char* to_string(EstimationMode mode) {
-  switch (mode) {
-    case EstimationMode::kPower:
-      return "power";
-    case EstimationMode::kLocalized:
-      return "localized";
-  }
-  return "?";
-}
-
 const char* to_string(SimilarityPolicy policy) {
   switch (policy) {
     case SimilarityPolicy::kNone:
@@ -146,13 +136,6 @@ InnerSolverKind parse_inner_solver_kind(const std::string& name) {
   }
   throw std::invalid_argument("unknown inner solver '" + name +
                               "' (cholesky|amg)");
-}
-
-EstimationMode parse_estimation_mode(const std::string& name) {
-  if (name == "power") return EstimationMode::kPower;
-  if (name == "localized") return EstimationMode::kLocalized;
-  throw std::invalid_argument("unknown estimation mode '" + name +
-                              "' (power|localized)");
 }
 
 SimilarityPolicy parse_similarity_policy(const std::string& name) {

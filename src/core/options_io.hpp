@@ -23,9 +23,6 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 /// "cholesky" | "amg"
 [[nodiscard]] const char* to_string(InnerSolverKind kind);
 
-/// "power" | "localized"
-[[nodiscard]] const char* to_string(EstimationMode mode);
-
 /// "none" | "node-disjoint" | "bounded"
 [[nodiscard]] const char* to_string(SimilarityPolicy policy);
 
@@ -52,9 +49,6 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 
 /// Inverse of to_string(InnerSolverKind).
 [[nodiscard]] InnerSolverKind parse_inner_solver_kind(const std::string& name);
-
-/// Inverse of to_string(EstimationMode).
-[[nodiscard]] EstimationMode parse_estimation_mode(const std::string& name);
 
 /// Inverse of to_string(SimilarityPolicy).
 [[nodiscard]] SimilarityPolicy parse_similarity_policy(const std::string& name);

@@ -129,8 +129,7 @@ SparsifyOptions& SparsifyOptions::with_seed(std::uint64_t value) {
   return *this;
 }
 
-SparsifyOptions& SparsifyOptions::with_estimation(EstimationMode mode) {
-  estimation = mode;
+SparsifyOptions& SparsifyOptions::with_estimation(EstimationMode /*mode*/) {
   return *this;
 }
 

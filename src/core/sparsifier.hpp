@@ -62,24 +62,11 @@ enum class InnerSolverKind {
   kAmg        ///< aggregation AMG V-cycles
 };
 
-/// How per-edge Joule heats (and the spectral bounds driving convergence)
-/// are estimated each densification round.
-enum class EstimationMode {
-  /// The paper's smoothed JL embedding: r random probes pushed through t
-  /// generalized power iterations against L_P⁺ L_G (default). Heats are a
-  /// global function of the whole graph, so dynamic updates must recompute
-  /// everything to stay bit-identical.
-  kPower,
-  /// Localized tree-stretch estimation: heat(e) := w_e · R_T(u,v), the
-  /// exact Joule heat of the tree embedding (stretch.hpp), with
-  /// λ̂_min = 1 (exact lower bound for subgraph sparsifiers) and
-  /// λ̂_max = 1 + max remaining stretch (upper-bound surrogate via
-  /// L_G ≼ L_T + Σ stretch). Per-edge heats depend only on the edge's own
-  /// tree path, so the dynamic layer can reuse cached heats verbatim for
-  /// every edge whose path escaped the batch — the basis of the localized
-  /// incremental warm start. Rng- and thread-count-free by construction.
-  kLocalized
-};
+/// The engine's one heat/spectral estimator: the paper's smoothed JL
+/// embedding (r random probes through t generalized power iterations
+/// against L_P⁺ L_G) with power-iteration λ_max. Kept only so callers
+/// written against `with_estimation()` still compile.
+enum class EstimationMode { kPower };
 
 struct SparsifyOptions {
   /// Target upper bound σ² on the relative condition number κ(L_G, L_P).
@@ -90,7 +77,7 @@ struct SparsifyOptions {
   /// r — random embedding vectors; 0 selects ceil(log2 n).
   Index num_vectors = 0;
   /// Densification rounds before giving up (per engine phase — each
-  /// `refine()`/`resparsify()` warm start gets a fresh budget).
+  /// `refine()`/`rebind()` warm start gets a fresh budget).
   Index max_rounds = 24;
   /// Edges added per round; 0 selects an adaptive cap — n/4 while the
   /// estimate is > 8x the target, n/16 for the refinement rounds
@@ -128,11 +115,6 @@ struct SparsifyOptions {
   /// sparsifier_engine.hpp.
   int threads = 0;
   std::uint64_t seed = 42;
-  /// Heat/spectral estimation mode. kLocalized replaces the JL probe
-  /// machinery with exact tree stretches — cheaper per round, cache-
-  /// reusable across dynamic batches, and deterministic independent of
-  /// seed and thread count. See EstimationMode.
-  EstimationMode estimation = EstimationMode::kPower;
 
   /// Full cross-field validation; throws std::invalid_argument on the
   /// first violated constraint. Called by the engine constructor, so
@@ -155,6 +137,8 @@ struct SparsifyOptions {
   SparsifyOptions& with_lambda_max_iterations(Index iterations);
   SparsifyOptions& with_threads(int n);
   SparsifyOptions& with_seed(std::uint64_t value);
+  /// Does nothing: kPower is the only estimator. Kept because the
+  /// benchmark workloads (perfbench/src/workloads_static.cpp) call it.
   SparsifyOptions& with_estimation(EstimationMode mode);
 };
 

@@ -18,9 +18,9 @@
 ///    that depends on the growing edge set (the Cholesky factor of L_P,
 ///    refactored into reused storage, or the AMG hierarchy) is rebuilt
 ///    each round, warm or cold;
-///  * `resparsify(weights)` warm-starts on re-weighted edges (same
-///    topology): the backbone tree topology and all workspace buffers are
-///    reused; only the weight-dependent solver state is rebuilt.
+///  * `rebind(g, backbone, seed)` warm-starts on another graph (new
+///    weights or topology) with a caller-supplied backbone, reusing every
+///    workspace buffer — the dynamic layer's (src/dynamic/) one warm path.
 ///
 /// Observability: attach a `StageObserver` to receive per-round telemetry
 /// (`on_round`, which may cancel by returning false) and per-stage wall
@@ -121,32 +121,6 @@ enum class StepStatus {
   return s != StepStatus::kAdvanced;
 }
 
-/// Localized warm-start descriptor for `rebind()` (EstimationMode::
-/// kLocalized only). Carries the dynamic layer's knowledge of *which*
-/// per-edge heats survived the batch:
-///  * `old_to_new` — edge-id remap from the previously bound graph to the
-///    new one (the `Graph::remove_edges` convention: old id → new id,
-///    kInvalidEdge for removed ids; empty span = identity). The engine
-///    migrates its heat cache through it.
-///  * `dirty` — one flag per *new* edge id; nonzero means the edge's tree
-///    path may have changed (or the edge is new/reweighted) and its heat
-///    must be recomputed. Clean off-tree edges reuse the cached double
-///    verbatim — same bits, because the canonical stretch walk
-///    (core/stretch.hpp) is a pure function of the untouched path.
-/// The caller is responsible for `dirty` being a superset of the truly
-/// affected edges; the differential tests enforce it against a cold
-/// recompute.
-struct HeatWarmStart {
-  std::span<const EdgeId> old_to_new;
-  std::span<const char> dirty;
-};
-
-/// Reuse accounting of the most recent localized heat (re)build.
-struct LocalizedHeatStats {
-  EdgeId reused = 0;      ///< off-tree heats taken from the warm cache
-  EdgeId recomputed = 0;  ///< off-tree heats recomputed by the stretch walk
-};
-
 class Sparsifier {
  public:
   /// Validates `opts` and binds the engine to `g` (connected, finalized;
@@ -187,14 +161,13 @@ class Sparsifier {
 
   /// Moves the result out of a finished engine without copying the edge
   /// and telemetry vectors. The engine's accumulated state is gone
-  /// afterwards: destroy it or warm-start with resparsify(); step(),
+  /// afterwards: destroy it or warm-start with rebind(); step(),
   /// run(), and refine() are no longer valid. Used by the one-shot
   /// wrappers.
   [[nodiscard]] SparsifyResult take_result() { return std::move(result_); }
 
   /// The graph currently being sparsified — the constructor argument, or
-  /// the engine-owned re-weighted copy after `resparsify()`. Use this (not
-  /// the original) with `result().extract(...)` after re-sparsification.
+  /// the graph of the latest `rebind()`.
   [[nodiscard]] const Graph& graph() const { return *g_; }
 
   [[nodiscard]] const SparsifyOptions& options() const { return opts_; }
@@ -209,21 +182,13 @@ class Sparsifier {
   /// earlier (already-accepted edges are never removed).
   void refine(double new_sigma2);
 
-  /// Warm start on updated edge weights (`updated_weights[e]` replaces the
-  /// weight of edge id `e`; same topology, all weights > 0 and finite).
-  /// Reuses the backbone tree topology and all scratch buffers; rebuilds
-  /// only the weight-dependent solver state. Densification restarts from
-  /// the backbone with a reseeded Rng, so the result matches a cold run on
-  /// the re-weighted graph up to the (reused) backbone choice.
-  void resparsify(std::span<const double> updated_weights);
-
   /// Warm start on a different graph (any topology) with a caller-supplied
-  /// backbone — the generalization of `resparsify()` behind the dynamic
-  /// update layer (src/dynamic/). Both `g` and `backbone` must outlive the
-  /// engine (`g` may not be the engine-owned `resparsify()` copy), and
-  /// `backbone` must span `g`. The engine re-seeds its Rng with `seed` and
-  /// restarts densification from the backbone, reusing every workspace
-  /// buffer, so the run is bit-identical to a cold
+  /// backbone — the one warm-start path, behind the dynamic update layer
+  /// (src/dynamic/). Re-weighting is a rebind onto the re-weighted copy
+  /// with a tree on the same edge ids. Both `g` and `backbone` must outlive
+  /// the engine, and `backbone` must span `g`. The engine re-seeds its Rng
+  /// with `seed` and restarts densification from the backbone, reusing
+  /// every workspace buffer, so the run is bit-identical to a cold
   /// `Sparsifier(g, backbone, opts.with_seed(seed))` run — only cheaper
   /// (no allocation, no connectivity re-check).
   ///
@@ -231,18 +196,8 @@ class Sparsifier {
   /// ids, not tree edges, pairwise distinct) into the sparsifier before the
   /// first round — the incremental-refine warm start: densification then
   /// tops up from the previous selection instead of from the bare tree.
-  ///
-  /// `warm` (EstimationMode::kLocalized only, ignored otherwise) migrates
-  /// the per-edge heat cache of the previously bound graph into the new
-  /// binding instead of discarding it: cached heats are remapped through
-  /// `warm->old_to_new` and only ids flagged in `warm->dirty` are
-  /// recomputed on the next step — see HeatWarmStart. Passing nullptr (or
-  /// rebinding a power-mode engine) invalidates the cache, so the next
-  /// step recomputes every off-tree heat; either way the resulting bits
-  /// are identical to a cold run, only the work differs.
   void rebind(const Graph& g, const SpanningTree& backbone,
-              std::uint64_t seed, std::span<const EdgeId> keep_offtree = {},
-              const HeatWarmStart* warm = nullptr);
+              std::uint64_t seed, std::span<const EdgeId> keep_offtree = {});
 
   /// Checkpoint-restore companion to `rebind()`: stamps the telemetry
   /// scalars of a previously *finished* run onto the freshly rebound
@@ -257,31 +212,10 @@ class Sparsifier {
                       double sigma2_estimate, bool reached_target,
                       StepStatus status);
 
-  /// Reuse accounting of the most recent localized heat (re)build (zeros
-  /// in power mode or before the first localized step). Read by the
-  /// dynamic layer for UpdateStats / dynamic.heats.* metrics.
-  [[nodiscard]] LocalizedHeatStats localized_heat_stats() const {
-    return heat_stats_;
-  }
-
-  /// The localized per-edge heat cache, indexed by edge id (tree-edge and
-  /// pre-kept slots are unspecified). Valid after a localized step; empty
-  /// in power mode. Exposed for the dirty-set differential tests, which
-  /// compare it bitwise against a cold stretch recompute.
-  [[nodiscard]] std::span<const double> localized_heat_cache() const {
-    return stretch_ready_ ? std::span<const double>(stretch_cache_)
-                          : std::span<const double>{};
-  }
-
  private:
   void ensure_backbone();
   void bind_backbone(const SpanningTree& backbone);
   void rearm_phase();
-  /// (Re)builds the localized heat cache: full canonical stretch sweep
-  /// cold, dirty-only patch after a warm rebind. Updates heat_stats_.
-  void ensure_stretch();
-  StepStatus step_impl_localized();
-  void final_estimate_localized();
   /// Builds the L_P⁺ operator for the current sparsifier: the backbone tree
   /// solver while P is the bare tree, otherwise a fresh factorization of
   /// L_P (min-degree sparse Cholesky into the reused factor and workspace;
@@ -300,7 +234,6 @@ class Sparsifier {
   StepStatus step_impl();
 
   const Graph* g_;
-  std::optional<Graph> owned_graph_;  ///< set by resparsify()
   SparsifyOptions opts_;
   StageObserver* observer_ = nullptr;
 
@@ -322,13 +255,6 @@ class Sparsifier {
   AmgHierarchy amg_;             ///< current AMG hierarchy (kAmg only)
   EmbeddingWorkspace emb_ws_;    ///< power-iteration vectors
   OffTreeEmbedding emb_;         ///< off-tree heats, refilled in place
-
-  // Localized-estimation state (EstimationMode::kLocalized only).
-  std::vector<double> stretch_cache_;  ///< per-edge heat, indexed by edge id
-  std::vector<char> stretch_dirty_;    ///< warm-rebind recompute flags
-  bool stretch_ready_ = false;         ///< cache valid for current binding
-  bool stretch_warm_pending_ = false;  ///< cache holds remapped prior heats
-  LocalizedHeatStats heat_stats_;
 
   SparsifyResult result_;
   Index next_round_ = 0;         ///< global round counter (stats.round)

@@ -219,65 +219,6 @@ void DynamicSparsifier::validate_batch(const UpdateBatch& batch) const {
   SSP_REQUIRE(uf.num_sets() == 1, "apply: batch would disconnect the graph");
 }
 
-void DynamicSparsifier::compute_dirty_mask(
-    std::span<const EdgeId> touched_new_ids, std::span<const EdgeId> remap,
-    EdgeId old_m) {
-  // Runs on the OUTGOING backbone_ — still the previous batch's tree,
-  // over the previous edge numbering. The final tree keeps every
-  // previous-tree edge the repair did not record, so a surviving edge's
-  // path (and cached stretch) changed iff its PREVIOUS-tree path crossed
-  // a recorded edge — an exact rule, tested with labels instead of
-  // per-edge path walks.
-  const EdgeId new_m = graph_.num_edges();
-  const Vertex n = graph_.num_vertices();
-  dirty_scratch_.assign(static_cast<std::size_t>(new_m), 0);
-  dirty_tree_scratch_.assign(static_cast<std::size_t>(old_m), 0);
-  for (const EdgeId e : tree_->dirty_tree_edges()) {
-    // Ids >= old_m are same-batch inserts that were swapped out again;
-    // they were never previous-tree edges and are covered by the
-    // touched-id sweep below.
-    if (e < old_m) dirty_tree_scratch_[static_cast<std::size_t>(e)] = 1;
-  }
-
-  // Innermost-dirty-ancestor labels over the previous tree's BFS order
-  // (parents first): label[v] identifies the deepest recorded tree edge
-  // on v's old root path; a path crosses a recorded edge iff its
-  // endpoints' labels differ. One O(n) pass replaces per-edge walks.
-  const auto parent = backbone_->parents();
-  const auto parent_eid = backbone_->parent_edges();
-  label_scratch_.assign(static_cast<std::size_t>(n), kInvalidEdge);
-  for (const Vertex v : backbone_->bfs_order()) {
-    const EdgeId pe = parent_eid[static_cast<std::size_t>(v)];
-    if (pe == kInvalidEdge) continue;  // root keeps kInvalidEdge
-    label_scratch_[static_cast<std::size_t>(v)] =
-        dirty_tree_scratch_[static_cast<std::size_t>(pe)] != 0
-            ? pe
-            : label_scratch_[static_cast<std::size_t>(
-                  parent[static_cast<std::size_t>(v)])];
-  }
-
-  // Label-test every surviving pre-batch edge at its post-compaction id.
-  // Endpoints are compaction-invariant, so the new edge record serves.
-  // (Slots that are tree edges in the NEW tree are never read by the
-  // warm start — flag values there are irrelevant; previous-tree edges
-  // that left the tree are recorded, so the test flags them dirty.)
-  for (EdgeId e = 0; e < old_m; ++e) {
-    const EdgeId ne = remap.empty() ? e : remap[static_cast<std::size_t>(e)];
-    if (ne == kInvalidEdge) continue;  // removed this batch
-    const Edge& edge = graph_.edge(ne);
-    if (label_scratch_[static_cast<std::size_t>(edge.u)] !=
-        label_scratch_[static_cast<std::size_t>(edge.v)]) {
-      dirty_scratch_[static_cast<std::size_t>(ne)] = 1;
-    }
-  }
-
-  // Batch-touched edges (reweighted / inserted) are dirty regardless of
-  // their path: their own weight changed or they have no cache slot.
-  for (const EdgeId e : touched_new_ids) {
-    dirty_scratch_[static_cast<std::size_t>(e)] = 1;
-  }
-}
-
 void DynamicSparsifier::rebuild_backbone_cold() {
   backbone_ = max_weight_spanning_tree(graph_);
   tree_.emplace(graph_, backbone_->tree_edge_ids());
@@ -292,24 +233,15 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
 
   WallTimer timer;
   validate_batch(batch);
-  const EdgeId old_m = graph_.num_edges();  // pre-batch numbering bound
   const EdgeId final_edges = graph_.num_edges() - stats.removed +
                              stats.inserted;
   stats.dirty_fraction = static_cast<double>(batch.size()) /
                          static_cast<double>(std::max<EdgeId>(1, final_edges));
   const bool rebuild = stats.dirty_fraction >= opts_.rebuild_threshold;
-  const bool localized =
-      opts_.base.estimation == EstimationMode::kLocalized && !rebuild;
   notify_stage(DynamicStage::kValidate, timer.seconds(), stats);
 
-  // Open the tree's dirty-tracking window before any repair hook runs;
-  // batch-touched edge ids (reweighted / inserted, pre-removal numbering)
-  // are collected alongside — both feed the localized warm start.
+  // Open the tree's change-tracking window before any repair hook runs.
   if (!rebuild) tree_->begin_batch();
-  std::vector<EdgeId> touched;
-  if (localized) {
-    touched.reserve(batch.reweight.size() + batch.insert.size());
-  }
 
   // Snapshot the previous off-tree selection for the warm-refine route
   // (the backbone is always the edge-list prefix).
@@ -329,7 +261,6 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
   for (const WeightUpdate& wu : batch.reweight) {
     const double old_weight = graph_.edge(wu.edge).weight;
     graph_.set_weight(wu.edge, wu.weight);
-    if (localized) touched.push_back(wu.edge);
     if (!rebuild) {
       const WallTimer repair;
       if (tree_->after_reweight(wu.edge, old_weight)) ++stats.tree_swaps;
@@ -338,14 +269,12 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
   }
   for (const Edge& e : batch.insert) {
     const EdgeId id = graph_.add_edge(e.u, e.v, e.weight);
-    if (localized) touched.push_back(id);
     if (!rebuild) {
       const WallTimer repair;
       if (tree_->after_insert(id)) ++stats.tree_swaps;
       repair_seconds += repair.seconds();
     }
   }
-  std::vector<EdgeId> remap;
   if (!batch.remove.empty()) {
     std::vector<char> deleted(static_cast<std::size_t>(graph_.num_edges()),
                               0);
@@ -358,7 +287,7 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
       stats.tree_swaps += tree_->after_deletions(deleted);
       repair_seconds += repair.seconds();
     }
-    remap = graph_.remove_edges(batch.remove);
+    const std::vector<EdgeId> remap = graph_.remove_edges(batch.remove);
     if (!rebuild) {
       const WallTimer repair;
       tree_->remap_ids(remap);
@@ -371,35 +300,11 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
         }
         keep.resize(out);
       }
-      if (!touched.empty()) {
-        // Touched ids were recorded pre-compaction; a batch never removes
-        // an edge it also reweights or inserts, so every id survives.
-        for (EdgeId& e : touched) {
-          e = remap[static_cast<std::size_t>(e)];
-          SSP_ASSERT(e != kInvalidEdge, "touched edge removed in same batch");
-        }
-      }
     }
   }
   graph_.finalize();
   notify_stage(DynamicStage::kApplyGraph, timer.seconds() - repair_seconds,
                stats);
-
-  // Localized warm start: label the OUTGOING backbone (still the
-  // previous tree) with the repair's recorded dirty edges and flag every
-  // surviving edge whose old path crossed one, plus the batch-touched
-  // ids — then hand the mask + id remap to the engine so clean heats
-  // carry over bit-for-bit. This must precede the backbone swap below.
-  timer.reset();
-  HeatWarmStart warm;
-  const HeatWarmStart* warm_ptr = nullptr;
-  if (localized) {
-    compute_dirty_mask(touched, remap, old_m);
-    warm.old_to_new = remap;  // empty span == identity (no removals)
-    warm.dirty = dirty_scratch_;
-    warm_ptr = &warm;
-  }
-  const double mask_seconds = timer.seconds();
 
   // Re-root the repaired backbone (or recompute it cold) on the updated
   // graph; canonical order keeps the tree-edge prefix bit-identical to a
@@ -410,8 +315,8 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
     stats.route = UpdateRoute::kRebuild;
     keep.clear();
   } else {
-    // A batch that inserts nothing, removes nothing, and recorded no
-    // dirty tree edge left the backbone bit-valid: same edge ids, same
+    // A batch that inserts nothing, removes nothing, and changed no tree
+    // edge left the backbone bit-valid: same edge ids, same
     // tree-edge set, same tree-edge weights — every SpanningTree array
     // (and the canonical prefix order) is unchanged, so skip the O(n)
     // re-root. Reweight-only batches touching off-tree edges — the
@@ -419,7 +324,7 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
     // nearly every batch.
     const bool backbone_intact = batch.remove.empty() &&
                                  batch.insert.empty() &&
-                                 tree_->dirty_tree_edges().empty();
+                                 !tree_->tree_changed();
     if (!backbone_intact) {
       const std::span<const EdgeId> canon = tree_->canonical_edge_ids();
       backbone_.emplace(graph_,
@@ -445,9 +350,8 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
 
   timer.reset();
   engine_->rebind(graph_, *backbone_,
-                  batch_seed(static_cast<Index>(history_.size())), keep,
-                  warm_ptr);
-  notify_stage(DynamicStage::kRebind, mask_seconds + timer.seconds(), stats);
+                  batch_seed(static_cast<Index>(history_.size())), keep);
+  notify_stage(DynamicStage::kRebind, timer.seconds(), stats);
 
   timer.reset();
   engine_->run();
@@ -458,17 +362,10 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
   stats.sparsifier_edges = r.num_edges();
   stats.sigma2_estimate = r.sigma2_estimate;
   stats.reached_target = r.reached_target;
-  const LocalizedHeatStats heats = engine_->localized_heat_stats();
-  stats.heats_reused = heats.reused;
-  stats.heats_recomputed = heats.recomputed;
   for (const double s : stats.stage_seconds) stats.seconds += s;
   obs::counter_add("dynamic.batches", 1);
   obs::counter_add("dynamic.tree_swaps",
                    static_cast<std::uint64_t>(stats.tree_swaps));
-  obs::counter_add("dynamic.heats.reused",
-                   static_cast<std::uint64_t>(stats.heats_reused));
-  obs::counter_add("dynamic.heats.recomputed",
-                   static_cast<std::uint64_t>(stats.heats_recomputed));
   switch (stats.route) {
     case UpdateRoute::kResparsify:
       obs::counter_add("dynamic.route.resparsify", 1);

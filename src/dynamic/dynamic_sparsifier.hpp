@@ -19,7 +19,7 @@
 ///     reconnection; off-tree churn touches nothing), insertions run a
 ///     path exchange each (tree/tree_repair.hpp).
 ///  3. **Route** the re-sparsification: reweight-only batches that leave
-///     the tree untouched take the `resparsify()`-style warm path; any
+///     the tree untouched keep the backbone as it is (no re-root); any
 ///     topology churn re-roots the repaired backbone; and when the dirty
 ///     fraction (touched edges / final edge count) reaches
 ///     `rebuild_threshold`, the layer falls back to a cold rebuild
@@ -57,34 +57,6 @@
 /// and `rebuild_threshold` bounds the drift by periodically resetting to
 /// the cold path. The differential harness (tests/harness.hpp) checks
 /// both regimes.
-///
-/// **Localized re-estimation** (`base.estimation =
-/// EstimationMode::kLocalized`) makes the *exact* route fast without
-/// giving up a bit of the cold contract. What is cached: the engine keeps
-/// one double per off-tree edge — its tree stretch w_e·R_T(u,v), the
-/// localized heat (core/stretch.hpp) — across batches. When caches
-/// invalidate: the repaired `MaxWeightTree` records every previous-tree
-/// edge that was reweighted, swapped out, or deleted
-/// (tree/tree_repair.hpp). Because the final tree keeps every
-/// previous-tree edge that is *not* recorded, an edge's tree path — and
-/// with it the cached stretch — changed iff its path in the PREVIOUS
-/// tree crossed a recorded edge. This layer tests exactly that on the
-/// outgoing backbone before replacing it: label each vertex with its
-/// innermost recorded ancestor edge in one O(n) pass, and flag an edge
-/// dirty iff its endpoints' labels differ or the batch touched the edge
-/// itself (inserted/reweighted). The rule is exact, not a
-/// detour-path over-approximation: a clean flag proves the old and new
-/// paths are the same edges at the same weights. Only flagged heats are
-/// recomputed; everything
-/// else is reused verbatim through `rebind()`'s HeatWarmStart. The
-/// kRebuild route and `resparsify()`-style weight rebinds drop the cache
-/// wholesale. Why bit-parity survives: the canonical stretch walk is a
-/// pure function of the edge's own rooted tree path, so an edge whose
-/// path the batch provably did not touch reproduces the cold-computed
-/// double exactly — reuse returns the same bits recomputation would, and
-/// the filter consumes an embedding indistinguishable from a cold run's.
-/// `UpdateStats::heats_reused/heats_recomputed` and the
-/// `dynamic.heats.*` metrics report the split per batch.
 ///
 /// The vertex set is fixed for the lifetime of the sparsifier; deletions
 /// that would disconnect the graph are rejected.
@@ -159,11 +131,6 @@ struct UpdateStats {
   EdgeId sparsifier_edges = 0;  ///< |Es| after re-sparsification
   double sigma2_estimate = 0.0;
   bool reached_target = false;
-  /// Localized-estimation reuse accounting (EstimationMode::kLocalized
-  /// only; zeros in power mode): off-tree heats reused from the previous
-  /// batch's cache vs recomputed because the batch dirtied them.
-  EdgeId heats_reused = 0;
-  EdgeId heats_recomputed = 0;
   double seconds = 0.0;
   /// Wall seconds per DynamicStage for this batch.
   std::array<double, kNumDynamicStages> stage_seconds{};
@@ -313,14 +280,6 @@ class DynamicSparsifier {
 
   [[nodiscard]] const DynamicOptions& options() const { return opts_; }
 
-  /// The engine's localized per-edge heat cache (empty in power mode) —
-  /// exposed so the differential tests can prove dirty-set correctness by
-  /// diffing it bitwise against a cold stretch recompute after every
-  /// batch. Indexed by current edge id; tree-edge slots unspecified.
-  [[nodiscard]] std::span<const double> localized_heat_cache() const {
-    return engine_->localized_heat_cache();
-  }
-
  private:
   [[nodiscard]] std::uint64_t batch_seed(Index batch) const {
     return batch_seed(opts_.base.seed, batch);
@@ -332,15 +291,6 @@ class DynamicSparsifier {
   void rebuild_backbone_cold();
   void notify_stage(DynamicStage stage, double seconds,
                     UpdateStats& stats) const;
-  /// Fills dirty_scratch_ (one flag per current edge id) from the tree's
-  /// recorded previous-tree dirty edges + the batch-touched ids — the
-  /// localized warm start's recompute set. Must run on the OUTGOING
-  /// backbone (before it is re-emplaced): the labels are computed on the
-  /// previous tree. `old_m` is the edge count before this batch's
-  /// mutations and `remap` the compaction map from `Graph::remove_edges`
-  /// (empty = identity). See the file comment for the exactness argument.
-  void compute_dirty_mask(std::span<const EdgeId> touched_new_ids,
-                          std::span<const EdgeId> remap, EdgeId old_m);
 
   DynamicOptions opts_;
   Graph graph_;
@@ -353,10 +303,6 @@ class DynamicSparsifier {
   /// Connectivity pre-check scratch, reset() per batch instead of
   /// reallocated.
   mutable UnionFind uf_scratch_{0};
-  // Localized dirty-set scratch, reused across batches.
-  std::vector<char> dirty_scratch_;       ///< per new edge id
-  std::vector<char> dirty_tree_scratch_;  ///< per OLD edge id (tree edges)
-  std::vector<EdgeId> label_scratch_;     ///< innermost dirty ancestor edge
 };
 
 /// One-shot wrapper outcome: the final graph, its sparsifier, and the

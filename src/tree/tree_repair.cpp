@@ -177,7 +177,7 @@ bool MaxWeightTree::after_insert(EdgeId e) {
              "MaxWeightTree: insert endpoints coincide");
   if (!beats(e, weakest)) return false;
 
-  dirty_edges_.push_back(weakest);  // swapped out of the previous tree
+  tree_changed_ = true;
   unlink(weakest);
   link(e);
   // The component cut off by removing `weakest` contains the endpoint of
@@ -193,10 +193,10 @@ bool MaxWeightTree::after_reweight(EdgeId e, double old_weight) {
               "MaxWeightTree: edge id out of range");
   const Edge& edge = g_->edge(e);
   if (contains(e)) {
-    // Every path through a reweighted tree edge changed resistance —
-    // record the edge whether or not an exchange follows. The new key
-    // also moves it in the canonical order.
-    dirty_edges_.push_back(e);
+    // A reweighted tree edge changes the tree's weights whether or not
+    // an exchange follows. The new key also moves it in the canonical
+    // order.
+    tree_changed_ = true;
     canon_touch(e);
     // A tree edge that got heavier only gets safer; a lighter one may be
     // displaced by the strongest off-tree edge across its cut.
@@ -358,10 +358,8 @@ EdgeId MaxWeightTree::after_deletions(std::span<const char> deleted) {
   }
   SSP_REQUIRE(uf.num_sets() == 1,
               "MaxWeightTree: deletions disconnect the graph");
-  for (const EdgeId e : dropped) {
-    dirty_edges_.push_back(e);
-    unlink(e);
-  }
+  if (!dropped.empty()) tree_changed_ = true;
+  for (const EdgeId e : dropped) unlink(e);
   for (const EdgeId x : chosen) link(x);
   // One wholesale O(n) re-rooting replaces per-swap chain surgery — the
   // batch already paid O(m) above.

@@ -35,26 +35,10 @@
 /// the property the dynamic layer's incremental-equals-cold determinism
 /// contract rests on (see dynamic/dynamic_sparsifier.hpp).
 ///
-/// **Dirty-edge tracking.** Between `begin_batch()` calls the index
-/// records every *previous-tree* edge whose weight changed or that left
-/// the tree:
-///
-///  * tree-edge reweight (either direction, swap or not) — the edge
-///    itself (every path through it changed resistance);
-///  * exchange swap (insert or reweight) — the edge swapped *out*;
-///  * batched deletion — each deleted tree edge.
-///
-/// `dirty_tree_edges()` exposes the recorded ids in pre-`remap_ids()`
-/// numbering. They support an *exact* localized invalidation rule: the
-/// final tree contains every previous-tree edge that is not recorded, so
-/// a path between two vertices — and therefore any off-tree stretch
-/// through it — changed iff its path in the PREVIOUS tree crossed a
-/// recorded edge. Testing that takes one O(n) labelling pass over the
-/// previous rooted backbone (dynamic/dynamic_sparsifier.cpp), with no
-/// per-edge path walks and no over-approximation from reconnection
-/// detours. Ids ≥ the previous edge count (same-batch inserts that were
-/// swapped out again) can be skipped by that pass: they were never
-/// previous-tree edges, and inserted edges are invalidated wholesale.
+/// **Change tracking.** Between `begin_batch()` calls the index notes
+/// whether any tree edge was reweighted, swapped out or deleted;
+/// `tree_changed()` reports it, so a batch that left the tree as it was
+/// can keep its rooted backbone instead of rebuilding it.
 ///
 /// **Costs.** The index keeps a rooted parent-pointer view of the tree
 /// (root 0) patched in place by every exchange, so path exchanges are
@@ -132,22 +116,15 @@ class MaxWeightTree {
 
   /// Renumbers edge ids after `Graph::remove_edges` compaction;
   /// `old_to_new` is the remap it returned. No deleted edge may still be
-  /// in the tree (run `after_deletions` first). Recorded dirty edge ids
-  /// are deliberately NOT remapped — they identify previous-tree edges
-  /// and stay in pre-compaction numbering (see the header comment).
+  /// in the tree (run `after_deletions` first).
   void remap_ids(std::span<const EdgeId> old_to_new);
 
-  /// Starts a new dirty-tracking window: clears the recorded edge ids.
-  void begin_batch() { dirty_edges_.clear(); }
+  /// Starts a new change-tracking window.
+  void begin_batch() { tree_changed_ = false; }
 
-  /// Previous-tree edges recorded since `begin_batch()` (reweighted tree
-  /// edges, swapped-out edges, deleted tree edges) in pre-`remap_ids()`
-  /// numbering — see the header comment for the exact invalidation rule
-  /// they support. May contain duplicates and same-batch insert ids;
-  /// order is the order changes were applied.
-  [[nodiscard]] std::span<const EdgeId> dirty_tree_edges() const {
-    return dirty_edges_;
-  }
+  /// True when a tree edge was reweighted, swapped out or deleted since
+  /// `begin_batch()`.
+  [[nodiscard]] bool tree_changed() const { return tree_changed_; }
 
  private:
   struct HalfEdge {
@@ -194,7 +171,7 @@ class MaxWeightTree {
   // Reused BFS / exchange scratch (no per-operation allocation).
   std::vector<Vertex> queue_;
   std::vector<Vertex> queue2_;
-  std::vector<EdgeId> dirty_edges_;
+  bool tree_changed_ = false;
   // Incrementally maintained canonical acceptance order + the ids whose
   // key or membership changed since the last merge (epoch-stamped by
   // edge id during the merge itself).

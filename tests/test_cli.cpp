@@ -47,7 +47,7 @@ TEST(Cli, ParsesEqualsForm) {
 TEST(Cli, BooleanFlags) {
   Argv a({"prog", "--verbose", "--out", "o.mtx"});
   ArgParser p("prog", "test");
-  p.option("verbose", "flag").option("quiet", "flag").option("out", "output");
+  p.flag("verbose", "flag").flag("quiet", "flag").option("out", "output");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_TRUE(p.get_bool("verbose", false));
   EXPECT_FALSE(p.get_bool("quiet", false));
@@ -58,9 +58,103 @@ TEST(Cli, BooleanFlags) {
 TEST(Cli, TrailingFlagIsBoolean) {
   Argv a({"prog", "--check"});
   ArgParser p("prog", "test");
-  p.option("check", "flag");
+  p.flag("check", "flag");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_TRUE(p.get_bool("check", false));
+}
+
+TEST(Cli, ValueOptionWithoutItsValueIsRejected) {
+  // `--out --sigma2 50` used to read --out as the boolean "true" and write
+  // a file named `true`.
+  const auto error_of = [](std::vector<std::string> argv) -> std::string {
+    Argv a(std::move(argv));
+    ArgParser p("prog", "test");
+    p.option("in", "input").option("out", "output");
+    add_sparsify_options(p);
+    try {
+      (void)p.parse(a.argc(), a.argv());
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of({"prog", "--in", "g.mtx", "--out", "--sigma2", "50"}),
+            "option --out expects a value");
+  EXPECT_EQ(error_of({"prog", "--in", "g.mtx", "--out"}),
+            "option --out expects a value");
+  EXPECT_EQ(error_of({"prog", "--sigma2", "--seed", "7"}),
+            "option --sigma2 expects a value");
+  EXPECT_EQ(error_of({"prog", "--out=o.mtx", "--sigma2", "50"}), "");
+
+  // Through the tool scaffold: exit code 1, and the body never runs.
+  Argv a({"prog", "--in", "gen:grid2d:16x16:7", "--out", "--sigma2", "50"});
+  ArgParser p("prog", "test");
+  p.option("in", "input").option("out", "output");
+  add_sparsify_options(p);
+  bool ran = false;
+  EXPECT_EQ(run_tool(p, a.argc(), a.argv(), [&] {
+              ran = true;
+              return 0;
+            }),
+            1);
+  EXPECT_FALSE(ran);
+}
+
+TEST(Cli, FlagsAcceptEveryToolForm) {
+  // Bare, before another option, last, and `=value`; a flag never takes
+  // the next token as its value.
+  Argv a({"prog", "--warm-refine", "--rescale=false", "--sigma2", "50",
+          "--estimate-quality"});
+  ArgParser p("prog", "test");
+  add_sparsify_options(p);
+  add_partition_options(p);
+  add_dynamic_options(p);
+  ASSERT_TRUE(p.parse(a.argc(), a.argv()));
+  EXPECT_TRUE(p.get_bool("warm-refine", false));
+  EXPECT_FALSE(p.get_bool("rescale", true));
+  EXPECT_TRUE(p.get_bool("estimate-quality", false));
+  EXPECT_DOUBLE_EQ(p.get_double("sigma2", 0.0), 50.0);
+  EXPECT_TRUE(p.positional().empty());
+
+  Argv b({"prog", "--warm-refine=maybe"});
+  ArgParser q("prog", "test");
+  add_dynamic_options(q);
+  ASSERT_TRUE(q.parse(b.argc(), b.argv()));
+  EXPECT_THROW((void)q.get_bool("warm-refine", false), std::invalid_argument);
+}
+
+TEST(Cli, ToolsRejectAValueGivenToAFlag) {
+  // `--warm-refine false` leaves "false" as a stray positional token; no
+  // tool takes positionals, so the scaffold refuses instead of silently
+  // turning warm refine on.
+  Argv a({"prog", "--warm-refine", "false"});
+  ArgParser p("prog", "test");
+  add_dynamic_options(p);
+  bool ran = false;
+  EXPECT_EQ(run_tool(p, a.argc(), a.argv(), [&] {
+              ran = true;
+              return 0;
+            }),
+            1);
+  EXPECT_FALSE(ran);
+}
+
+TEST(Cli, OptionalValueTakesTheNextTokenUnlessItIsAnOption) {
+  ArgParser p("prog", "test");
+  p.option("progress", "telemetry", "", Arity::kOptional)
+      .option("sigma2", "target");
+  Argv a({"prog", "--progress", "stages", "--sigma2", "5"});
+  ASSERT_TRUE(p.parse(a.argc(), a.argv()));
+  EXPECT_EQ(p.get("progress", ""), "stages");
+
+  ArgParser q("prog", "test");
+  q.option("progress", "telemetry", "", Arity::kOptional)
+      .option("sigma2", "target");
+  Argv b({"prog", "--progress", "--sigma2", "5"});
+  ASSERT_TRUE(q.parse(b.argc(), b.argv()));
+  EXPECT_TRUE(q.has("progress"));
+  EXPECT_EQ(q.get("progress", ""), "true");
+  EXPECT_DOUBLE_EQ(q.get_double("sigma2", 0.0), 5.0);
 }
 
 TEST(Cli, HelpReturnsFalse) {

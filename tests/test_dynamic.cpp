@@ -17,7 +17,6 @@
 
 #include "core/options_io.hpp"
 #include "core/sparsifier.hpp"
-#include "core/stretch.hpp"
 #include "dynamic/dynamic_sparsifier.hpp"
 #include "dynamic/update_journal.hpp"
 #include "graph/connectivity.hpp"
@@ -195,100 +194,17 @@ TEST(Differential, WarmRefineStaysSpectrallyEquivalent) {
   }
 }
 
-// ---- Localized re-estimation (EstimationMode::kLocalized) ------------------
-
 Graph small_grid(std::uint64_t seed = 5) {
   Rng rng(seed);
   return grid_2d(8, 8, WeightModel::log_uniform(0.5, 2.0), &rng);
 }
 
-DynamicOptions localized_options(std::uint64_t seed = 42) {
-  DynamicOptions opts = incremental_options(seed);
-  opts.base.estimation = EstimationMode::kLocalized;
-  return opts;
-}
-
-/// Bitwise-compares the engine's warm heat cache against a cold stretch
-/// recompute on the current graph — the dirty set under-approximating
-/// would surface here as a stale double.
-void expect_heat_cache_matches_cold(const DynamicSparsifier& dyn,
-                                    const char* context) {
-  const std::span<const double> cache = dyn.localized_heat_cache();
-  ASSERT_EQ(cache.size(),
-            static_cast<std::size_t>(dyn.graph().num_edges()))
-      << context;
-  const SpanningTree cold_tree = max_weight_spanning_tree(dyn.graph());
-  std::vector<double> expected(cache.size(), 0.0);
-  compute_all_stretches(cold_tree, expected);
-  for (EdgeId e = 0; e < dyn.graph().num_edges(); ++e) {
-    if (cold_tree.contains(e)) continue;  // tree slots are unspecified
-    ASSERT_EQ(cache[static_cast<std::size_t>(e)],
-              expected[static_cast<std::size_t>(e)])
-        << context << " edge " << e;  // exact, not approximate
-  }
-}
-
-TEST(Localized, BitIdenticalToColdRebuildAcrossFamiliesAndThreads) {
-  // The tentpole contract: the localized exact route reuses unchanged
-  // heats across batches yet stays bit-identical to a cold localized
-  // rebuild on the final graph — and reuse actually happens.
-  for (auto& [name, g] : generator_families()) {
-    Rng script_rng(101);
-    const std::vector<UpdateBatch> script =
-        make_update_script(g, script_rng, ScriptOptions{});
-    for (const int threads : {1, 4}) {
-      DynamicOptions opts = localized_options();
-      opts.base.threads = threads;
-      DynamicSparsifier dyn(g, opts);
-      EdgeId total_reused = 0;
-      Index batch_no = 0;
-      for (const UpdateBatch& batch : script) {
-        const UpdateStats& stats = dyn.apply(batch);
-        ++batch_no;
-        ASSERT_NE(stats.route, UpdateRoute::kRebuild) << name;
-        total_reused += stats.heats_reused;
-        const SparsifyResult cold =
-            sparsify(dyn.graph(), dyn.cold_equivalent_options());
-        ASSERT_EQ(dyn.result().edges, cold.edges)
-            << name << " batch " << batch_no << " threads " << threads;
-        ASSERT_DOUBLE_EQ(dyn.result().sigma2_estimate, cold.sigma2_estimate)
-            << name << " batch " << batch_no;
-        ASSERT_EQ(dyn.result().reached_target, cold.reached_target);
-        expect_heat_cache_matches_cold(dyn, name);
-      }
-      // Small batches on these graphs leave most heats untouched; the
-      // warm start must actually exploit that, not recompute the world.
-      EXPECT_GT(total_reused, 0) << name << " threads " << threads;
-    }
-  }
-}
-
-TEST(Localized, ReuseDominatesOnSingleEdgeReweight) {
-  // One off-tree reweight dirties only the paths through one edge: almost
-  // every heat must carry over, and the stats/metrics must say so.
-  const Graph g = small_grid(17);
-  DynamicSparsifier dyn(g, localized_options());
-  const SpanningTree t = max_weight_spanning_tree(dyn.graph());
-  const EdgeId offtree = t.offtree_edge_ids().back();
-  const double w = dyn.graph().edge(offtree).weight;
-  const UpdateStats& stats =
-      dyn.reweight_edges(std::vector<WeightUpdate>{{offtree, w * 1.01}});
-  EXPECT_GT(stats.heats_reused, 0);
-  EXPECT_GT(stats.heats_recomputed, 0);  // at least the edge itself
-  EXPECT_GT(stats.heats_reused, stats.heats_recomputed);
-  const SparsifyResult cold =
-      sparsify(dyn.graph(), dyn.cold_equivalent_options());
-  EXPECT_EQ(dyn.result().edges, cold.edges);
-  expect_heat_cache_matches_cold(dyn, "single reweight");
-}
-
-TEST(Localized, AdversarialScriptsStayBitIdentical) {
-  // Worst-case churn for the dirty-set tracking: the same tree edge
-  // reweighted (and exchange-swapped) every batch, an edge inserted then
-  // deleted across consecutive batches (id remap migration), and one
-  // batch deleting the entire tree (everything dirty). Each must stay
-  // bit-identical to cold and keep the heat cache exact at 1 and 4
-  // threads.
+TEST(Differential, AdversarialScriptsStayBitIdentical) {
+  // Worst-case churn for the tree repair and the re-root skip: the same
+  // tree edge reweighted (and exchange-swapped) every batch, an edge
+  // inserted then deleted across consecutive batches (id remap), and one
+  // batch deleting the entire tree. Each must stay bit-identical to a cold
+  // rebuild after every batch at 1 and 4 threads.
   const Graph grid = small_grid(29);
   // Deleting the whole tree needs the off-tree edges alone to span the
   // graph — true on a complete graph, never on a grid (corner vertices
@@ -315,7 +231,7 @@ TEST(Localized, AdversarialScriptsStayBitIdentical) {
   };
   for (const auto& [name, g, script] : cases) {
     for (const int threads : {1, 4}) {
-      DynamicOptions opts = localized_options();
+      DynamicOptions opts = incremental_options();
       opts.base.threads = threads;
       DynamicSparsifier dyn(g, opts);
       Index batch_no = 0;
@@ -326,21 +242,13 @@ TEST(Localized, AdversarialScriptsStayBitIdentical) {
             sparsify(dyn.graph(), dyn.cold_equivalent_options());
         ASSERT_EQ(dyn.result().edges, cold.edges)
             << name << " batch " << batch_no << " threads " << threads;
-        expect_heat_cache_matches_cold(dyn, name);
+        ASSERT_EQ(dyn.result().tree_edges, cold.tree_edges)
+            << name << " batch " << batch_no << " threads " << threads;
+        ASSERT_DOUBLE_EQ(dyn.result().sigma2_estimate, cold.sigma2_estimate)
+            << name << " batch " << batch_no << " threads " << threads;
       }
     }
   }
-}
-
-TEST(Localized, PowerModeKeepsEmptyCacheAndZeroStats) {
-  // The default power route is untouched by the feature: no cache, zero
-  // reuse counters, and the crown-jewel parity as before.
-  const Graph g = small_grid(31);
-  DynamicSparsifier dyn(g, incremental_options());
-  dyn.insert_edges(std::vector<Edge>{Edge{0, 27, 1.1}});
-  EXPECT_TRUE(dyn.localized_heat_cache().empty());
-  EXPECT_EQ(dyn.history().back().heats_reused, 0);
-  EXPECT_EQ(dyn.history().back().heats_recomputed, 0);
 }
 
 // ---- Tree repair (the primitive the contract rests on) ---------------------
@@ -427,46 +335,40 @@ TEST(TreeRepair, DeletionReconnectionTieBreakIsCanonical) {
   EXPECT_FALSE(tree.contains(5));
 }
 
-TEST(TreeRepair, DirtyEdgesCoverEveryStructuralChange) {
-  // begin_batch() opens a window; every previous-tree edge that is
-  // reweighted, swapped out, or deleted is recorded by id.
+TEST(TreeRepair, TreeChangedFlagsEveryStructuralChange) {
+  // begin_batch() opens a window; a reweighted, swapped-out or deleted
+  // tree edge sets tree_changed(), which the dynamic layer's re-root skip
+  // reads.
   Rng rng(3);
   Graph g = grid_2d(6, 6, WeightModel::log_uniform(0.5, 2.0), &rng);
   MaxWeightTree tree(g, max_weight_spanning_tree(g).tree_edge_ids());
 
   tree.begin_batch();
-  EXPECT_TRUE(tree.dirty_tree_edges().empty());
+  EXPECT_FALSE(tree.tree_changed());
 
-  // Off-tree reweight that cannot enter the tree: records nothing (no
-  // previous-tree path changed).
+  // Off-tree reweight that cannot enter the tree: no change.
   const SpanningTree t0 = max_weight_spanning_tree(g);
   const EdgeId off = t0.offtree_edge_ids().front();
   const double old_off = g.edge(off).weight;
   g.set_weight(off, old_off * 0.5);
   EXPECT_FALSE(tree.after_reweight(off, old_off));
-  EXPECT_TRUE(tree.dirty_tree_edges().empty());
+  EXPECT_FALSE(tree.tree_changed());
 
-  // Tree-edge reweight (no swap): records the edge itself.
+  // Tree-edge reweight without a swap still changes the tree's weights.
   const EdgeId te = t0.tree_edge_ids()[5];
   const double old_te = g.edge(te).weight;
   g.set_weight(te, old_te * 1.5);  // increase: provably no swap
   EXPECT_FALSE(tree.after_reweight(te, old_te));
-  ASSERT_EQ(tree.dirty_tree_edges().size(), 1u);
-  EXPECT_EQ(tree.dirty_tree_edges()[0], te);
+  EXPECT_TRUE(tree.tree_changed());
 
-  // A dominating insert swaps out a path edge: the swapped-OUT edge is
-  // recorded (paths that used it are exactly the rerouted ones).
+  // A dominating insert swaps out a path edge.
   tree.begin_batch();
   const EdgeId heavy = g.add_edge(0, g.num_vertices() - 1, 1e6);
   g.finalize();
   EXPECT_TRUE(tree.after_insert(heavy));
-  ASSERT_EQ(tree.dirty_tree_edges().size(), 1u);
-  const EdgeId swapped_out = tree.dirty_tree_edges()[0];
-  EXPECT_NE(swapped_out, heavy);
-  EXPECT_FALSE(tree.contains(swapped_out));
-  EXPECT_TRUE(tree.contains(heavy));
+  EXPECT_TRUE(tree.tree_changed());
 
-  // Batched deletion records each deleted tree edge by (pre-remap) id.
+  // A batched deletion of a tree edge.
   tree.begin_batch();
   EdgeId victim = kInvalidEdge;
   for (const EdgeId e : tree.canonical_edge_ids()) {
@@ -479,13 +381,11 @@ TEST(TreeRepair, DirtyEdgesCoverEveryStructuralChange) {
   std::vector<char> mask(static_cast<std::size_t>(g.num_edges()), 0);
   mask[static_cast<std::size_t>(victim)] = 1;
   tree.after_deletions(mask);
-  const auto recorded = tree.dirty_tree_edges();
-  EXPECT_TRUE(std::find(recorded.begin(), recorded.end(), victim) !=
-              recorded.end());
+  EXPECT_TRUE(tree.tree_changed());
 
   // begin_batch() clears the window.
   tree.begin_batch();
-  EXPECT_TRUE(tree.dirty_tree_edges().empty());
+  EXPECT_FALSE(tree.tree_changed());
 }
 
 TEST(TreeRepair, DeletionsThatDisconnectThrow) {

@@ -1,13 +1,11 @@
 // Tests for the staged ssp::Sparsifier engine API: step()-driven parity
-// with the one-shot wrapper, warm-started refine()/resparsify(), observer
+// with the one-shot wrapper, warm-started refine()/rebind(), observer
 // telemetry and cancellation, option validation / named setters, and the
 // enum <-> string round trips of options_io.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -192,83 +190,11 @@ TEST(Engine, ObserverCancellationStopsAtRequestedRound) {
             static_cast<EdgeId>(engine.result().tree_edges.size()));
 }
 
-TEST(Engine, ResparsifyReusesBackboneToposAndReachesTarget) {
-  const Graph g = test_grid(20, 13);
-  Sparsifier engine(g, SparsifyOptions{}.with_sigma2(20.0).with_seed(11));
-  engine.run();
-  ASSERT_TRUE(engine.result().reached_target);
-  const std::vector<EdgeId> tree_before = engine.result().tree_edges;
-
-  // Perturb every weight by up to ±20% and warm-start.
-  Rng rng(99);
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    w[static_cast<std::size_t>(e)] =
-        g.edge(e).weight * rng.uniform(0.8, 1.2);
-  }
-  engine.resparsify(w);
-  EXPECT_FALSE(engine.done());
-  const StepStatus s = engine.run();
-  EXPECT_EQ(s, StepStatus::kConverged);
-  EXPECT_TRUE(engine.result().reached_target);
-  // The backbone tree topology (edge ids) was reused, not recomputed.
-  EXPECT_EQ(engine.result().tree_edges, tree_before);
-  // The engine-owned graph carries the updated weights.
-  for (EdgeId e = 0; e < engine.graph().num_edges(); ++e) {
-    EXPECT_DOUBLE_EQ(engine.graph().edge(e).weight,
-                     w[static_cast<std::size_t>(e)]);
-  }
-  // Sanity: the result extracts against the engine's graph.
-  const Graph p = engine.result().extract(engine.graph());
-  EXPECT_EQ(p.num_edges(), engine.result().num_edges());
-}
-
-TEST(Engine, ResparsifyBeforeFirstStepKeepsExternalBackbone) {
-  const Graph g = test_grid(12, 41);
-  const SpanningTree tree = max_weight_spanning_tree(g);
-  const std::vector<EdgeId> tree_ids(tree.tree_edge_ids().begin(),
-                                     tree.tree_edge_ids().end());
-  // Engine bound to a caller-supplied backbone, warm-started before any
-  // step ran: the external tree topology must survive, not be replaced by
-  // an opts.backbone rebuild.
-  Sparsifier engine(g, tree, SparsifyOptions{}.with_sigma2(30.0));
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    w[static_cast<std::size_t>(e)] = g.edge(e).weight * 1.1;
-  }
-  engine.resparsify(w);
-  engine.run();
-  EXPECT_EQ(engine.result().tree_edges, tree_ids);
-  EXPECT_TRUE(engine.result().reached_target);
-}
-
-TEST(Engine, ResparsifyRejectsBadWeights) {
-  const Graph g = test_grid(8);
-  Sparsifier engine(g, SparsifyOptions{}.with_sigma2(50.0));
-  engine.run();
-  std::vector<double> too_few(static_cast<std::size_t>(g.num_edges()) - 1,
-                              1.0);
-  EXPECT_THROW(engine.resparsify(too_few), std::invalid_argument);
-  std::vector<double> too_many(static_cast<std::size_t>(g.num_edges()) + 1,
-                               1.0);
-  EXPECT_THROW(engine.resparsify(too_many), std::invalid_argument);
-  std::vector<double> bad(static_cast<std::size_t>(g.num_edges()), 1.0);
-  for (const double w : {-1.0, 0.0, std::numeric_limits<double>::infinity(),
-                         std::numeric_limits<double>::quiet_NaN()}) {
-    bad[3] = w;
-    EXPECT_THROW(engine.resparsify(bad), std::invalid_argument);
-  }
-  // A rejected span leaves the engine usable: it is still done, with the
-  // original result intact.
-  EXPECT_TRUE(engine.done());
-  EXPECT_GT(engine.result().num_edges(), 0);
-}
-
-TEST(Engine, RefineAfterResparsifyTightensOnTheReweightedGraph) {
+TEST(Engine, RefineAfterRebindTightensOnTheReweightedGraph) {
   // The warm-start chain the dynamic workflow composes: reach a loose
-  // target, resparsify on perturbed weights, then refine down — the
-  // engine must keep the (reused) backbone and land on the tight target
-  // against the re-weighted graph.
+  // target, rebind onto a re-weighted copy with the old tree ids, then
+  // refine down — the engine must keep the backbone and land on the tight
+  // target against the re-weighted graph.
   const Graph g = test_grid(18, 77);
   Sparsifier engine(g, SparsifyOptions{}.with_sigma2(30.0).with_seed(3));
   engine.run();
@@ -276,11 +202,14 @@ TEST(Engine, RefineAfterResparsifyTightensOnTheReweightedGraph) {
   const std::vector<EdgeId> tree_before = engine.result().tree_edges;
 
   Rng rng(17);
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
+  Graph reweighted(g.num_vertices());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    w[static_cast<std::size_t>(e)] = g.edge(e).weight * rng.uniform(0.9, 1.1);
+    const Edge& edge = g.edge(e);
+    reweighted.add_edge(edge.u, edge.v, edge.weight * rng.uniform(0.9, 1.1));
   }
-  engine.resparsify(w);
+  reweighted.finalize();
+  const SpanningTree tree(reweighted, tree_before);
+  engine.rebind(reweighted, tree, 3);
   engine.run();
   ASSERT_TRUE(engine.result().reached_target);
   const EdgeId edges_loose = engine.result().num_edges();
@@ -292,6 +221,7 @@ TEST(Engine, RefineAfterResparsifyTightensOnTheReweightedGraph) {
   EXPECT_LE(engine.result().sigma2_estimate, 8.0 + 1e-12);
   EXPECT_GE(engine.result().num_edges(), edges_loose);  // only densifies
   EXPECT_EQ(engine.result().tree_edges, tree_before);   // backbone survives
+  EXPECT_EQ(&engine.graph(), &reweighted);
 }
 
 TEST(Engine, RebindMatchesColdExternalBackboneRunBitForBit) {
@@ -453,51 +383,6 @@ TEST(OptionsIo, EnumStringRoundTrips) {
                       StageKind::kFiltering, StageKind::kFinalEstimate}) {
     EXPECT_STRNE(to_string(s), "?");
   }
-}
-
-TEST(OptionsIo, EstimationModeRoundTrips) {
-  for (EstimationMode m :
-       {EstimationMode::kPower, EstimationMode::kLocalized}) {
-    EXPECT_EQ(parse_estimation_mode(to_string(m)), m);
-  }
-  EXPECT_THROW((void)parse_estimation_mode("exact"), std::invalid_argument);
-  EXPECT_EQ(SparsifyOptions{}.estimation, EstimationMode::kPower);
-  EXPECT_EQ(SparsifyOptions{}
-                .with_estimation(EstimationMode::kLocalized)
-                .estimation,
-            EstimationMode::kLocalized);
-}
-
-TEST(Engine, LocalizedModeConvergesDeterministicallyAcrossThreads) {
-  // kLocalized replaces the randomized power estimate with per-edge tree
-  // stretches: Rng-free, so the run is a pure function of (graph, options)
-  // and thread count must not change a single bit. λ̂_min is exactly 1 for
-  // a subgraph sparsifier, and a reached target means the certified upper
-  // bound σ̂² = 1 + max remaining stretch is at or under the goal.
-  const Graph g = test_grid(24, 91);
-  const auto base = SparsifyOptions{}
-                        .with_sigma2(30.0)
-                        .with_seed(13)
-                        .with_estimation(EstimationMode::kLocalized);
-
-  Sparsifier e1(g, SparsifyOptions(base).with_threads(1));
-  e1.run();
-  Sparsifier e4(g, SparsifyOptions(base).with_threads(4));
-  e4.run();
-  EXPECT_EQ(e1.result().edges, e4.result().edges);  // bit-for-bit
-  EXPECT_DOUBLE_EQ(e1.result().sigma2_estimate, e4.result().sigma2_estimate);
-  EXPECT_DOUBLE_EQ(e1.result().lambda_min, 1.0);
-  EXPECT_TRUE(e1.result().reached_target);
-  EXPECT_LE(e1.result().sigma2_estimate, 30.0);
-  // Denser than the bare tree, sparser than the graph.
-  EXPECT_GT(e1.result().num_edges(),
-            static_cast<EdgeId>(e1.result().tree_edges.size()));
-  EXPECT_LT(e1.result().num_edges(), g.num_edges());
-
-  // Same options, fresh engine: identical again (no hidden state).
-  Sparsifier again(g, SparsifyOptions(base).with_threads(1));
-  again.run();
-  EXPECT_EQ(again.result().edges, e1.result().edges);
 }
 
 TEST(Engine, ThreadCountNeverChangesTheEdgeList) {

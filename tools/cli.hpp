@@ -1,10 +1,12 @@
 #pragma once
 
 /// \file cli.hpp
-/// Command-line parsing for the ssp tools. `ArgParser` supports `--flag`,
-/// `--key value` and `--key=value` forms of registered options only
-/// (anything else is an error naming the option), typed lookup with
-/// defaults, required-argument checks, and usage text generation; the
+/// Command-line parsing for the ssp tools. `ArgParser` accepts registered
+/// options only (anything else is an error naming the option); each one
+/// declares whether it takes a value (`--key value` / `--key=value`, a
+/// missing value is an error), is a boolean flag (`--flag`), or takes an
+/// optional value. It also does typed lookup with defaults,
+/// required-argument checks, and usage text generation; the
 /// helpers below it declare each shared flag set exactly once
 /// (--threads/--seed, the SparsifyOptions surface, and the
 /// partition-parallel --partitions/--cut-policy group) so the four tools
@@ -32,6 +34,13 @@
 
 namespace ssp::cli {
 
+/// What an option accepts after its name.
+enum class Arity {
+  kValue,     ///< `--key value` or `--key=value`; a missing value is an error
+  kFlag,      ///< bare `--key` (reads as "true"); never takes the next token
+  kOptional,  ///< `--key [value]`: takes the next token unless it is an option
+};
+
 class ArgParser {
  public:
   ArgParser(std::string program, std::string description)
@@ -40,14 +49,21 @@ class ArgParser {
   /// Registers an option: parse() accepts only registered options, and
   /// usage() lists them.
   ArgParser& option(const std::string& name, const std::string& help,
-                    const std::string& default_value = "") {
-    help_.push_back({name, help, default_value});
+                    const std::string& default_value = "",
+                    Arity arity = Arity::kValue) {
+    help_.push_back({name, help, default_value, arity});
     return *this;
   }
 
-  /// Parses argv. Throws std::invalid_argument on malformed input and on
-  /// options that were never registered (naming the option). Returns
-  /// false when --help was requested (usage printed by caller).
+  /// Registers a boolean flag (Arity::kFlag).
+  ArgParser& flag(const std::string& name, const std::string& help) {
+    return option(name, help, "", Arity::kFlag);
+  }
+
+  /// Parses argv. Throws std::invalid_argument on malformed input, on
+  /// options that were never registered and on a value option without its
+  /// value (naming the option). Returns false when --help was requested
+  /// (usage printed by caller).
   bool parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
@@ -58,16 +74,19 @@ class ArgParser {
       }
       arg = arg.substr(2);
       const auto eq = arg.find('=');
-      require_registered(arg.substr(0, eq));
+      const Arity arity = registered_arity(arg.substr(0, eq));
       if (eq != std::string::npos) {
         values_[arg.substr(0, eq)] = arg.substr(eq + 1);
         continue;
       }
-      // `--key value` unless the next token is another option or absent.
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      const bool value_follows =
+          i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+      if (arity != Arity::kFlag && value_follows) {
         values_[arg] = argv[++i];
+      } else if (arity == Arity::kValue) {
+        throw std::invalid_argument("option --" + arg + " expects a value");
       } else {
-        values_[arg] = "true";  // boolean flag
+        values_[arg] = "true";
       }
     }
     return true;
@@ -120,7 +139,11 @@ class ArgParser {
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+    const std::string& v = it->second;
+    if (v == "true" || v == "1" || v == "yes") return true;
+    if (v == "false" || v == "0" || v == "no") return false;
+    throw std::invalid_argument("option --" + key +
+                                " expects true|false, got '" + v + "'");
   }
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
@@ -139,9 +162,9 @@ class ArgParser {
   }
 
  private:
-  void require_registered(const std::string& name) const {
+  [[nodiscard]] Arity registered_arity(const std::string& name) const {
     for (const auto& h : help_) {
-      if (h.name == name) return;
+      if (h.name == name) return h.arity;
     }
     throw std::invalid_argument("unknown option --" + name);
   }
@@ -150,6 +173,7 @@ class ArgParser {
     std::string name;
     std::string help;
     std::string default_value;
+    Arity arity;
   };
   std::string program_;
   std::string description_;
@@ -199,16 +223,12 @@ inline ArgParser& add_trace_option(ArgParser& args) {
 /// returning the output path ("" = tracing off). Call before the
 /// workload; pass the returned path to finish_trace() at tool exit.
 [[nodiscard]] inline std::string apply_trace(const ArgParser& args) {
-  const std::string path = args.has("trace") ? args.get("trace", "") : "";
-  if (!path.empty() && path != "true") {
+  const std::string path = args.get("trace", "");
+  if (!path.empty()) {
     obs::set_metrics_enabled(true);
     obs::start_trace();
-    return path;
   }
-  if (path == "true") {
-    throw std::invalid_argument("option --trace expects an output path");
-  }
-  return "";
+  return path;
 }
 
 /// Flushes the trace recorded since apply_trace() to `path` (no-op when
@@ -268,10 +288,10 @@ inline ArgParser& add_partition_options(ArgParser& args) {
       .option("cut-policy",
               "inter-block edges: keep-all|filter|quotient", "filter")
       .option("cut-sigma2", "σ² target for the cut pass (0 = --sigma2)", "0")
-      .option("estimate-quality",
-              "estimate global (λ_min, λ_max, σ²) of the stitched sparsifier")
-      .option("rescale",
-              "apply the scalar rescale stage to the stitched sparsifier");
+      .flag("estimate-quality",
+            "estimate global (λ_min, λ_max, σ²) of the stitched sparsifier")
+      .flag("rescale",
+            "apply the scalar rescale stage to the stitched sparsifier");
 }
 
 /// Builds PartitionedOptions from the flags registered by
@@ -337,9 +357,9 @@ inline ArgParser& add_dynamic_options(ArgParser& args) {
               "lines) through the dynamic layer")
       .option("rebuild-threshold",
               "dirty fraction that falls back to a cold rebuild", "0.25")
-      .option("warm-refine",
-              "keep the previous selection across updates (faster, "
-              "spectrally equivalent, not bit-equal to a cold rebuild)");
+      .flag("warm-refine",
+            "keep the previous selection across updates (faster, "
+            "spectrally equivalent, not bit-equal to a cold rebuild)");
 }
 
 /// Builds DynamicOptions from the flags registered by
@@ -359,7 +379,8 @@ inline ArgParser& add_serve_options(ArgParser& args) {
       .option("socket", "unix-domain socket path", "ssp_serve.sock")
       .option("tcp",
               "bind 127.0.0.1:<port> instead of the unix socket "
-              "(0 = ephemeral port)")
+              "(bare or 0 = ephemeral port)",
+              "", Arity::kOptional)
       .option("max-sessions", "admission cap on open sessions", "64")
       .option("max-queue",
               "per-session queued-batch cap before commits get a "
@@ -417,6 +438,12 @@ int run_tool(ArgParser& args, int argc, char** argv, Body&& body) {
     if (!args.parse(argc, argv)) {
       std::fputs(args.usage().c_str(), stdout);
       return 0;
+    }
+    // No tool takes positional arguments; a stray token is most likely a
+    // value given to a flag (`--warm-refine false`).
+    if (!args.positional().empty()) {
+      throw std::invalid_argument("unexpected argument '" +
+                                  args.positional().front() + "'");
     }
     return body();
   } catch (const std::exception& e) {

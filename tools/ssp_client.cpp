@@ -64,11 +64,11 @@ int main(int argc, char** argv) {
       "ssp_client", "scripted stdin client for the ssp_serve protocol");
   args.option("socket", "unix-domain socket path", "ssp_serve.sock")
       .option("tcp", "connect to 127.0.0.1:<port> instead of the unix socket")
-      .option("payload-only",
-              "print only payload lines (journal/edge extraction)")
-      .option("metrics",
-              "one-shot: fetch the server metrics registry and print it in "
-              "Prometheus text format (stdin is not read)");
+      .flag("payload-only",
+            "print only payload lines (journal/edge extraction)")
+      .flag("metrics",
+            "one-shot: fetch the server metrics registry and print it in "
+            "Prometheus text format (stdin is not read)");
   return ssp::cli::run_tool(args, argc, argv, [&args] {
     ssp::serve::ServeClient client =
         args.has("tcp")

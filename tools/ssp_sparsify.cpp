@@ -323,8 +323,9 @@ int main(int argc, char** argv) {
       "similarity-aware spectral sparsification of a Matrix Market graph");
   args.option("in", ssp::cli::kGraphSourceHelp)
       .option("out", "output .mtx for the sparsifier (optional)")
-      .option("progress", "stream per-round telemetry (=stages for more)")
-      .option("kernels", "print compiled/supported kernel backends and exit");
+      .option("progress", "stream per-round telemetry; `--progress stages` adds stage times", "",
+              ssp::cli::Arity::kOptional)
+      .flag("kernels", "print compiled/supported kernel backends and exit");
   ssp::cli::add_sparsify_options(args);
   ssp::cli::add_partition_options(args);
   ssp::cli::add_dynamic_options(args);
