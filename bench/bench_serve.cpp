@@ -119,7 +119,9 @@ RunResult run_config(const Config& config) {
         const auto slot =
             static_cast<std::size_t>(s * config.clients_per_session + c);
         workers.emplace_back([&, s, c, slot] {
-          run_client(socket_path, "s" + std::to_string(s), c,
+          std::string session = "s";
+          session += std::to_string(s);
+          run_client(socket_path, session, c,
                      config.clients_per_session, latencies[slot],
                      failures[slot]);
         });

@@ -42,10 +42,20 @@ struct FilterOptions {
 [[nodiscard]] double heat_threshold(double sigma2, double lambda_min,
                                     double lambda_max, int power_steps);
 
-/// Applies the threshold + similarity policy to an embedding. Edges are
-/// visited in descending heat order; the returned ids preserve that order.
+/// Work done by `filter_offtree_edges`; each call adds its own counts.
+struct FilterStats {
+  std::size_t candidates = 0;  ///< edges at or above the heat threshold
+  std::size_t examined = 0;    ///< candidates the similarity policy saw
+};
+
+/// Applies the threshold + similarity policy to an embedding. Candidates
+/// are visited in descending heat order, ties by ascending edge id; the
+/// returned ids preserve that order. Only the visited prefix is sorted
+/// (doubling batches selected off the top, the first 8 × `max_edges`), so
+/// the typical cost is O(m + k log k) for m off-tree edges and k examined
+/// candidates, rather than a full sort of every candidate.
 [[nodiscard]] std::vector<EdgeId> filter_offtree_edges(
     const Graph& g, const OffTreeEmbedding& emb, double theta,
-    const FilterOptions& opts = {});
+    const FilterOptions& opts = {}, FilterStats* stats = nullptr);
 
 }  // namespace ssp

@@ -107,7 +107,7 @@ LinOp Sparsifier::make_solver(double* setup_seconds, PanelOp* panel) {
     }
   } else {
     // Both solvers copy what they need out of L_P, so it is not kept.
-    const CsrMatrix lp = laplacian(g_->edge_subgraph(result_.edges));
+    const CsrMatrix lp = laplacian(*g_, result_.edges);
     bool factored = false;
     if (opts_.inner_solver == InnerSolverKind::kCholesky &&
         !factor_over_budget_) {
@@ -247,8 +247,9 @@ StepStatus Sparsifier::step_impl() {
   const FilterOptions fopts = {.similarity = opts_.similarity,
                                .node_cap = opts_.node_cap,
                                .max_edges = cap_per_round};
+  FilterStats filter_stats;
   std::vector<EdgeId> picked =
-      filter_offtree_edges(*g_, emb_, stats.theta, fopts);
+      filter_offtree_edges(*g_, emb_, stats.theta, fopts, &filter_stats);
   if (picked.empty()) {
     // The threshold filtered everything although the target is unmet
     // (estimator noise). Force progress with the hottest edges.
@@ -256,8 +257,11 @@ StepStatus Sparsifier::step_impl() {
         *g_, emb_, 0.0,
         {.similarity = opts_.similarity,
          .node_cap = opts_.node_cap,
-         .max_edges = std::min<EdgeId>(cap_per_round, 16)});
+         .max_edges = std::min<EdgeId>(cap_per_round, 16)},
+        &filter_stats);
   }
+  obs::counter_add("engine.filter.candidates", filter_stats.candidates);
+  obs::counter_add("engine.filter.examined", filter_stats.examined);
   notify_stage(StageKind::kFiltering, stage_timer.seconds());
   if (picked.empty()) {  // no off-tree edges remain
     finish_round(stats, round_timer.seconds());

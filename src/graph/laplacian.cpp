@@ -3,24 +3,109 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
 
 namespace ssp {
 
-CsrMatrix laplacian(const GraphView& g) {
-  const Index n = g.num_vertices();
-  std::vector<Triplet> ts;
-  ts.reserve(static_cast<std::size_t>(g.num_edges()) * 4);
-  for (EdgeId id = 0; id < g.num_edges(); ++id) {
-    const Edge e = g.edge(id);
-    ts.push_back({e.u, e.v, -e.weight});
-    ts.push_back({e.v, e.u, -e.weight});
-    ts.push_back({e.u, e.u, e.weight});
-    ts.push_back({e.v, e.v, e.weight});
+namespace {
+
+using Entry = std::pair<Vertex, double>;  // (column, value)
+
+// Laplacian of the edge sequence edge_at(0), ..., edge_at(m - 1), parallel
+// entries included, assembled without triplets. It is bit-identical to
+// `CsrMatrix::from_triplets` over the stream (u,v,-w), (v,u,-w), (u,u,w),
+// (v,v,w) per edge: there a row holds its entries in edge order, a stable
+// sort by column keeps that order among equal columns, and each column is
+// summed from 0.0 in that order. Here the diagonal is summed in edge
+// order, and two counting sorts by row order the off-diagonal entries the
+// same way without comparing any.
+template <class EdgeAt>
+CsrMatrix assemble_laplacian(Index n, EdgeId m, const EdgeAt& edge_at) {
+  const auto rows = static_cast<std::size_t>(n);
+  std::vector<Index> row_ptr(rows + 1, 0);
+  for (EdgeId k = 0; k < m; ++k) {
+    const Edge e = edge_at(k);
+    ++row_ptr[static_cast<std::size_t>(e.u) + 1];
+    ++row_ptr[static_cast<std::size_t>(e.v) + 1];
   }
-  return CsrMatrix::from_triplets(n, n, ts);
+  for (std::size_t r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
+
+  // Pass 1: each row's off-diagonal entries in edge order.
+  std::vector<Entry> by_edge(static_cast<std::size_t>(row_ptr[rows]));
+  std::vector<double> diag(rows, 0.0);
+  std::vector<Index> slot(row_ptr.begin(), row_ptr.end() - 1);
+  for (EdgeId k = 0; k < m; ++k) {
+    const Edge e = edge_at(k);
+    const auto u = static_cast<std::size_t>(e.u);
+    const auto v = static_cast<std::size_t>(e.v);
+    by_edge[static_cast<std::size_t>(slot[u]++)] = {e.v, -e.weight};
+    by_edge[static_cast<std::size_t>(slot[v]++)] = {e.u, -e.weight};
+    diag[u] += e.weight;
+    diag[v] += e.weight;
+  }
+  // Pass 2: L is symmetric, so pass-1 row c lists column c's entries in
+  // edge order. Scattering the rows c = 0, 1, ... back by row hands every
+  // row its entries by ascending column, equal columns in edge order: the
+  // stable sort by column.
+  std::vector<Entry> by_col(by_edge.size());
+  slot.assign(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t c = 0; c < rows; ++c) {
+    for (auto k = static_cast<std::size_t>(row_ptr[c]);
+         k < static_cast<std::size_t>(row_ptr[c + 1]); ++k) {
+      const auto [r, value] = by_edge[k];
+      by_col[static_cast<std::size_t>(slot[static_cast<std::size_t>(r)]++)] =
+          {static_cast<Vertex>(c), value};
+    }
+  }
+
+  std::vector<Vertex> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(by_col.size() + rows);
+  values.reserve(by_col.size() + rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto first = by_col.begin() + static_cast<std::ptrdiff_t>(row_ptr[r]);
+    const auto last =
+        by_col.begin() + static_cast<std::ptrdiff_t>(row_ptr[r + 1]);
+    row_ptr[r] = static_cast<Index>(col_idx.size());
+    if (first == last) continue;  // isolated vertex: empty row
+    const auto diag_col = static_cast<Vertex>(r);
+    bool diag_done = false;
+    for (auto it = first; it != last;) {
+      const Vertex c = it->first;
+      if (!diag_done && diag_col < c) {
+        col_idx.push_back(diag_col);
+        values.push_back(diag[r]);
+        diag_done = true;
+      }
+      double sum = 0.0;
+      for (; it != last && it->first == c; ++it) sum += it->second;
+      col_idx.push_back(c);
+      values.push_back(sum);
+    }
+    if (!diag_done) {
+      col_idx.push_back(diag_col);
+      values.push_back(diag[r]);
+    }
+  }
+  row_ptr[rows] = static_cast<Index>(col_idx.size());
+  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
+}  // namespace
+
+CsrMatrix laplacian(const GraphView& g) {
+  return assemble_laplacian(g.num_vertices(), g.num_edges(),
+                            [&g](EdgeId k) { return g.edge(k); });
+}
+
+CsrMatrix laplacian(const Graph& g, std::span<const EdgeId> edge_ids) {
+  return assemble_laplacian(
+      g.num_vertices(), static_cast<EdgeId>(edge_ids.size()),
+      [&](EdgeId k) { return g.edge(edge_ids[static_cast<std::size_t>(k)]); });
 }
 
 CsrMatrix adjacency_matrix(const GraphView& g) {

@@ -11,6 +11,8 @@
 /// nonzero entry in the lower triangular matrix; if edge weights are not
 /// available [pattern matrix], a unit edge weight will be assigned".
 
+#include <span>
+
 #include "graph/graph.hpp"
 #include "graph/graph_view.hpp"
 #include "la/csr_matrix.hpp"
@@ -21,6 +23,12 @@ namespace ssp {
 /// `GraphView`, so heap graphs (implicit conversion) and mmap'd `.sspb`
 /// graphs assemble bit-identical matrices.
 [[nodiscard]] CsrMatrix laplacian(const GraphView& g);
+
+/// Laplacian of the subgraph made of `edge_ids` (in that order; repeated
+/// ids count as parallel edges) on all of g's vertices: bit-identical to
+/// `laplacian(g.edge_subgraph(edge_ids))` without building that graph.
+[[nodiscard]] CsrMatrix laplacian(const Graph& g,
+                                  std::span<const EdgeId> edge_ids);
 
 /// Weighted adjacency matrix W.
 [[nodiscard]] CsrMatrix adjacency_matrix(const GraphView& g);

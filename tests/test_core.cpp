@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/densify.hpp"
 #include "core/edge_filter.hpp"
@@ -266,6 +269,127 @@ TEST(Filter, MaxEdgesCapRespected) {
       g, emb, 0.0,
       {.similarity = SimilarityPolicy::kNone, .max_edges = 3});
   EXPECT_EQ(picked.size(), 3u);
+}
+
+// The filter as it was before lazy top-k selection: stable-sort every
+// candidate by (heat desc, id asc), then walk greedily. Kept as the
+// reference the batched selection must reproduce id for id.
+std::vector<EdgeId> reference_filter(const Graph& g,
+                                     const OffTreeEmbedding& emb,
+                                     double theta, const FilterOptions& opts) {
+  std::vector<EdgeId> selected;
+  if (emb.offtree_edges.empty() || emb.heat_max <= 0.0) return selected;
+  std::vector<std::size_t> idx;
+  const double cut = theta * emb.heat_max;
+  for (std::size_t k = 0; k < emb.heat.size(); ++k) {
+    if (emb.heat[k] >= cut) idx.push_back(k);
+  }
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    if (emb.heat[a] != emb.heat[b]) return emb.heat[a] > emb.heat[b];
+    return emb.offtree_edges[a] < emb.offtree_edges[b];
+  });
+  const Index cap =
+      opts.similarity == SimilarityPolicy::kNodeDisjoint ? 1 : opts.node_cap;
+  std::vector<Index> touched(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (const std::size_t k : idx) {
+    if (opts.max_edges > 0 &&
+        static_cast<EdgeId>(selected.size()) >= opts.max_edges) {
+      break;
+    }
+    const EdgeId id = emb.offtree_edges[k];
+    const Edge& e = g.edge(id);
+    if (opts.similarity != SimilarityPolicy::kNone) {
+      auto& tu = touched[static_cast<std::size_t>(e.u)];
+      auto& tv = touched[static_cast<std::size_t>(e.v)];
+      if (tu >= cap || tv >= cap) continue;
+      ++tu;
+      ++tv;
+    }
+    selected.push_back(id);
+  }
+  return selected;
+}
+
+// A path backbone plus `offtree` random chords (parallel chords allowed)
+// whose heats come from `levels`, so most heats tie.
+std::pair<Graph, OffTreeEmbedding> tied_heat_instance(
+    Vertex n, EdgeId offtree, const std::vector<double>& levels, Rng& rng) {
+  Graph g(n);
+  for (Vertex v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1, 1.0);
+  OffTreeEmbedding emb;
+  for (EdgeId k = 0; k < offtree; ++k) {
+    const auto u = static_cast<Vertex>(rng.uniform_int(0, n - 1));
+    auto v = static_cast<Vertex>(rng.uniform_int(0, n - 2));
+    if (v >= u) ++v;
+    emb.offtree_edges.push_back(g.add_edge(u, v, 1.0));
+    const double h = levels[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(levels.size()) - 1))];
+    emb.heat.push_back(h);
+    emb.heat_max = std::max(emb.heat_max, h);
+  }
+  g.finalize();
+  return {std::move(g), std::move(emb)};
+}
+
+TEST(Filter, LazySelectionMatchesFullSortReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(41);
+  std::vector<std::pair<Graph, OffTreeEmbedding>> cases;
+  // Few vertices, many chords: node-disjoint accepts at most n/2 < 64, so
+  // every candidate is examined, across four doubling batches.
+  cases.push_back(tied_heat_instance(100, 5000, {0.1, 0.3, 0.5, 1.0}, rng));
+  cases.push_back(tied_heat_instance(2000, 3000, {0.25, 0.5, 0.75, 1.0}, rng));
+  cases.push_back(tied_heat_instance(300, 2000, {0.2, 1.0, 7.5, inf}, rng));
+  // Infinite heats below a finite heat_max (a malformed but legal input).
+  cases.push_back(tied_heat_instance(500, 2000, {0.0, 0.4, 0.9, 1.0}, rng));
+  cases.back().second.heat[7] = inf;
+  cases.back().second.heat[1999] = inf;
+
+  const SimilarityPolicy policies[] = {SimilarityPolicy::kNone,
+                                       SimilarityPolicy::kNodeDisjoint,
+                                       SimilarityPolicy::kBounded};
+  std::size_t most_examined = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [g, emb] = cases[c];
+    const auto beyond = static_cast<EdgeId>(emb.heat.size()) + 1;
+    for (const SimilarityPolicy policy : policies) {
+      for (const EdgeId max_edges : {EdgeId{0}, EdgeId{1}, EdgeId{64}, beyond}) {
+        for (const double theta : {0.0, 0.3, 1.0}) {
+          SCOPED_TRACE("case " + std::to_string(c) + " policy " +
+                       std::to_string(static_cast<int>(policy)) +
+                       " max_edges " + std::to_string(max_edges) +
+                       " theta " + std::to_string(theta));
+          const FilterOptions opts = {
+              .similarity = policy, .node_cap = 2, .max_edges = max_edges};
+          FilterStats stats;
+          const auto lazy = filter_offtree_edges(g, emb, theta, opts, &stats);
+          EXPECT_EQ(lazy, reference_filter(g, emb, theta, opts));
+          EXPECT_LE(stats.examined, stats.candidates);
+          if (max_edges == 64) {
+            most_examined = std::max(most_examined, stats.examined);
+          }
+        }
+      }
+    }
+  }
+  // At least three batches (8·64, then 2·8·64) were taken at max_edges 64.
+  EXPECT_GT(most_examined, std::size_t{3 * 8 * 64});
+}
+
+TEST(Filter, StatsCountCandidatesAndExaminedEdges) {
+  Rng rng(2);
+  const auto [g, emb] = tied_heat_instance(1000, 4000, {0.5, 1.0}, rng);
+  FilterStats stats;
+  const auto picked = filter_offtree_edges(
+      g, emb, 0.0,
+      {.similarity = SimilarityPolicy::kNone, .max_edges = 10}, &stats);
+  EXPECT_EQ(picked.size(), 10u);
+  EXPECT_EQ(stats.candidates, 4000u);
+  EXPECT_EQ(stats.examined, 10u);
+  // Counts accumulate over calls.
+  (void)filter_offtree_edges(g, emb, 1.0, {.max_edges = 3}, &stats);
+  EXPECT_GT(stats.candidates, 4000u);
+  EXPECT_GE(stats.examined, 13u);
 }
 
 TEST(Sparsify, ReachesTargetOnWeightedGrid) {

@@ -373,10 +373,10 @@ TEST(OptionsIo, EnumStringRoundTrips) {
         SimilarityPolicy::kBounded}) {
     EXPECT_EQ(parse_similarity_policy(to_string(p)), p);
   }
-  EXPECT_THROW(parse_backbone_kind("mst"), std::invalid_argument);
-  EXPECT_THROW(parse_inner_solver_kind("lu"), std::invalid_argument);
-  EXPECT_THROW(parse_inner_solver_kind("tree-pcg"), std::invalid_argument);
-  EXPECT_THROW(parse_similarity_policy("strict"), std::invalid_argument);
+  EXPECT_THROW((void)parse_backbone_kind("mst"), std::invalid_argument);
+  EXPECT_THROW((void)parse_inner_solver_kind("lu"), std::invalid_argument);
+  EXPECT_THROW((void)parse_inner_solver_kind("tree-pcg"), std::invalid_argument);
+  EXPECT_THROW((void)parse_similarity_policy("strict"), std::invalid_argument);
   // Stage names are distinct and never the "?" fallback.
   for (StageKind s : {StageKind::kBackbone, StageKind::kSolverSetup,
                       StageKind::kSpectralEstimate, StageKind::kEmbedding,

@@ -3,14 +3,29 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/connectivity.hpp"
+#include "graph/generators/community.hpp"
+#include "graph/generators/lattice.hpp"
+#include "graph/generators/random_graphs.hpp"
+#include "graph/generators/rmat.hpp"
 #include "graph/graph.hpp"
 #include "graph/laplacian.hpp"
 #include "la/vector_ops.hpp"
+#include "storage/mapped_graph.hpp"
+#include "storage/sspb_io.hpp"
 #include "util/rng.hpp"
 
 namespace ssp {
@@ -242,6 +257,139 @@ TEST(Laplacian, WeightedDegreesMatchDiagonal) {
   for (std::size_t i = 0; i < d.size(); ++i) {
     EXPECT_DOUBLE_EQ(d[i], diag[i]);
   }
+}
+
+// Reference assembly kept from before the triplet-free one: four triplets
+// per edge, in `edge_ids` order, through CsrMatrix::from_triplets.
+CsrMatrix triplet_laplacian(const GraphView& g,
+                            const std::vector<EdgeId>& edge_ids) {
+  std::vector<Triplet> ts;
+  for (const EdgeId id : edge_ids) {
+    const Edge e = g.edge(id);
+    ts.push_back({e.u, e.v, -e.weight});
+    ts.push_back({e.v, e.u, -e.weight});
+    ts.push_back({e.u, e.u, e.weight});
+    ts.push_back({e.v, e.v, e.weight});
+  }
+  const Index n = g.num_vertices();
+  return CsrMatrix::from_triplets(n, n, ts);
+}
+
+std::vector<EdgeId> all_ids(EdgeId m) {
+  std::vector<EdgeId> ids(static_cast<std::size_t>(m));
+  std::iota(ids.begin(), ids.end(), EdgeId{0});
+  return ids;
+}
+
+void expect_bitwise_equal(const CsrMatrix& a, const CsrMatrix& b,
+                          const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  ASSERT_TRUE(std::ranges::equal(a.row_ptr(), b.row_ptr()));
+  ASSERT_TRUE(std::ranges::equal(a.col_idx(), b.col_idx()));
+  ASSERT_EQ(a.values().size(), b.values().size());
+  for (std::size_t k = 0; k < a.values().size(); ++k) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.values()[k]),
+              std::bit_cast<std::uint64_t>(b.values()[k]))
+        << "value " << k;
+  }
+}
+
+// Both entry points against the triplet reference: the whole graph, the
+// identity id list, a reversed list, and a shuffled subset with repeats.
+void expect_assembly_matches_triplets(const Graph& g, const std::string& name) {
+  const std::vector<EdgeId> every = all_ids(g.num_edges());
+  expect_bitwise_equal(laplacian(g), triplet_laplacian(g, every),
+                       name + " laplacian(view)");
+  expect_bitwise_equal(laplacian(g, every), triplet_laplacian(g, every),
+                       name + " laplacian(g, all ids)");
+  std::vector<EdgeId> ids(every.rbegin(), every.rend());
+  expect_bitwise_equal(laplacian(g, ids), triplet_laplacian(g, ids),
+                       name + " reversed ids");
+  Rng rng(17);
+  ids.clear();
+  for (EdgeId k = 0; k < g.num_edges(); k += 2) {
+    ids.push_back(rng.uniform_int(0, g.num_edges() - 1));
+  }
+  expect_bitwise_equal(laplacian(g, ids), triplet_laplacian(g, ids),
+                       name + " random ids with repeats");
+  expect_bitwise_equal(laplacian(g, ids),
+                       laplacian(g.edge_subgraph(ids)),
+                       name + " ids vs edge_subgraph");
+}
+
+TEST(LaplacianAssembly, BitIdenticalToTripletsAcrossFamilies) {
+  Rng rng(3);
+  const auto logw = WeightModel::log_uniform(0.01, 100.0);
+  expect_assembly_matches_triplets(grid_2d(13, 17, logw, &rng), "grid2d");
+  expect_assembly_matches_triplets(barabasi_albert(400, 3, rng, logw), "ba");
+  expect_assembly_matches_triplets(
+      erdos_renyi_connected(300, 1500, rng, logw), "er");
+  expect_assembly_matches_triplets(rmat_graph(9, 6, rng, {}, logw), "rmat");
+  expect_assembly_matches_triplets(
+      planted_partition(240, 4, 0.2, 0.01, rng, logw), "planted");
+  // A hub row holding every column.
+  expect_assembly_matches_triplets(star_graph(100, logw, &rng), "star");
+}
+
+TEST(LaplacianAssembly, ParallelEdgesSumInEdgeOrder) {
+  // Weights whose sum depends on the order of addition, on both the
+  // off-diagonal and the diagonal, in rows short and long.
+  Graph g(40);
+  const double ws[] = {1e16, 1.0, 3.0, 1e-3, 1e16 + 2.0, 0.1};
+  for (Vertex v = 1; v < 40; ++v) {
+    for (const double w : ws) {
+      // Both orientations, so u-rows and v-rows both coalesce repeats.
+      if (v % 2 == 0) {
+        g.add_edge(0, v, w * v);
+      } else {
+        g.add_edge(v, 0, w * v);
+      }
+    }
+  }
+  g.add_edge(5, 3, 0.7);
+  g.add_edge(3, 5, 1e17);
+  g.add_edge(5, 3, 0.3);
+  g.finalize();
+  expect_assembly_matches_triplets(g, "parallel");
+}
+
+TEST(LaplacianAssembly, EmptyAndUnsortedIdLists) {
+  const Graph g = triangle();
+  const CsrMatrix empty = laplacian(g, std::vector<EdgeId>{});
+  EXPECT_EQ(empty.rows(), 3);
+  EXPECT_EQ(empty.nnz(), 0);
+  expect_bitwise_equal(empty, triplet_laplacian(g, {}), "empty");
+  const std::vector<EdgeId> ids = {2, 0, 2, 1, 0};
+  expect_bitwise_equal(laplacian(g, ids), triplet_laplacian(g, ids),
+                       "duplicate unsorted ids");
+  // A subset leaves isolated vertices with empty rows.
+  const Graph p = path_graph(6);
+  const std::vector<EdgeId> ends = {4, 0};
+  const CsrMatrix l = laplacian(p, ends);
+  expect_bitwise_equal(l, triplet_laplacian(p, ends), "isolated rows");
+  EXPECT_EQ(l.row_cols(2).size(), 0u);
+  EXPECT_THROW((void)laplacian(g, std::vector<EdgeId>{3}),
+               std::invalid_argument);
+}
+
+TEST(LaplacianAssembly, MappedViewMatchesTriplets) {
+  Rng rng(5);
+  const Graph g =
+      barabasi_albert(300, 4, rng, WeightModel::log_uniform(0.1, 10.0));
+  const std::string path =
+      "/tmp/ssp_graph_assembly_" + std::to_string(::getpid()) + ".sspb";
+  storage::write_sspb(path, g);
+  {
+    const storage::MappedGraph mapped(path);
+    const GraphView view = mapped.view();
+    expect_bitwise_equal(laplacian(view),
+                         triplet_laplacian(view, all_ids(view.num_edges())),
+                         "mapped view");
+    expect_bitwise_equal(laplacian(view), laplacian(g), "mapped vs heap");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Connectivity, SingleComponent) {
