@@ -49,30 +49,46 @@ PowerResult generalized_power_iteration(const CsrMatrix& lg,
   const Index n = lg.rows();
   SSP_REQUIRE(lg.rows() == lg.cols(), "generalized power: L_G not square");
   SSP_REQUIRE(n >= 2, "generalized power: need >= 2 vertices");
+  const auto un = static_cast<std::size_t>(n);
 
   Vec h = random_probe_vector(n, rng);
 
-  Vec gh(static_cast<std::size_t>(n));   // L_G h
-  Vec hn(static_cast<std::size_t>(n));   // next iterate L_P^+ L_G h
+  Vec gh(un);    // L_G h
+  Vec hn(un);    // next iterate L_P^+ L_G h
+  Vec ghn(un);   // L_G hn
+  Vec pair_in(2 * un);   // [hn, h] as a row-major n×2 panel
+  Vec pair_out(2 * un);  // [L_G hn, L_G h]
+  lg.multiply(h, gh);
   PowerResult result;
   double prev = 0.0;
   for (Index it = 1; it <= opts.max_iterations; ++it) {
-    lg.multiply(h, gh);
     solve_p(gh, hn);
     project_out_mean(hn);
     // Rayleigh quotient of the pencil at hn:
     //   λ ≈ (hnᵀ L_G hn) / (hnᵀ L_P hn), and hnᵀ L_P hn = hnᵀ L_G h
     // because L_P hn = L_P L_P⁺ L_G h = (projected) L_G h.
     const double denom = dot(hn, gh);
-    const double numer = lg.quadratic(hn);
     result.iterations = it;
     if (denom <= 0.0) break;  // numerical degeneracy; keep last estimate
-    const double lambda = numer / denom;
-    result.eigenvalue = lambda;
     const double nrm = norm2(hn);
+    if (nrm != 0.0) {
+      h = hn;
+      scale(h, 1.0 / nrm);
+    }
+    // L_G·hn for the numerator and L_G·h for the next step in one pass
+    // over L_G; each panel column is bit-identical to its own multiply.
+    for (std::size_t i = 0; i < un; ++i) {
+      pair_in[2 * i] = hn[i];
+      pair_in[2 * i + 1] = h[i];
+    }
+    lg.multiply_panel(pair_in, pair_out, 2);
+    for (std::size_t i = 0; i < un; ++i) {
+      ghn[i] = pair_out[2 * i];
+      gh[i] = pair_out[2 * i + 1];
+    }
+    const double lambda = dot(hn, ghn) / denom;
+    result.eigenvalue = lambda;
     if (nrm == 0.0) break;
-    h = hn;
-    scale(h, 1.0 / nrm);
     if (it > 1 && std::abs(lambda - prev) <=
                       opts.rel_tolerance * std::abs(lambda)) {
       break;

@@ -35,7 +35,9 @@ struct PowerResult {
 /// Largest generalized eigenvalue λ_max of L_G u = λ L_P u via power
 /// iterations on L_P⁺ L_G. `solve_p` applies L_P⁺. The Rayleigh quotient is
 /// evaluated as (hᵀ L_G h)/(hᵀ L_P h) without an extra L_P product by using
-/// hᵀ L_P h_{t} = hᵀ L_G h_{t-1} along the iteration.
+/// hᵀ L_P h_{t} = hᵀ L_G h_{t-1} along the iteration. Each step makes one
+/// 2-column pass over L_G: the new iterate's L_G·h_t for the numerator and
+/// its normalized copy's product for the next step.
 [[nodiscard]] PowerResult generalized_power_iteration(
     const CsrMatrix& lg, const LinOp& solve_p, Rng& rng,
     const PowerOptions& opts = {});

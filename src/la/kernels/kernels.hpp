@@ -131,8 +131,11 @@ struct Ops {
   // ---- Panel (multi-RHS) kernels: row-major n×r, SIMD across columns ----
 
   /// Y[row][j] := Σ_k vals[k]·X[cols[k]][j], rows in [row_begin, row_end),
-  /// j in [0, r). Per (row, j) the k-order is sequential — column j is
-  /// bit-identical to spmv_rows applied to X's j-th column.
+  /// j in [0, r). One pass over each row serves all r columns: the row's
+  /// col/val entries are read once, with the SIMD column blocks and the
+  /// r mod width tail columns accumulating side by side. Per (row, j) the
+  /// k-order is sequential — column j is bit-identical to spmv_rows
+  /// applied to X's j-th column, in every backend and for every r.
   void (*spmv_panel)(Index row_begin, Index row_end, const Index* row_ptr,
                      const Vertex* cols, const double* vals, const double* x,
                      double* y, Index r);

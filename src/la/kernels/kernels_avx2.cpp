@@ -197,38 +197,18 @@ double v_shift_nrm2sq(double c, double* x, std::size_t n) {
   return s;
 }
 
-void v_spmv_panel(Index row_begin, Index row_end, const Index* row_ptr,
-                  const Vertex* cols, const double* vals, const double* x,
-                  double* y, Index r) {
-  const auto rs = static_cast<std::size_t>(r);
-  const Index r4 = r & ~Index{3};
-  for (Index row = row_begin; row < row_end; ++row) {
-    const Index b = row_ptr[row];
-    const Index e = row_ptr[row + 1];
-    double* yr = y + static_cast<std::size_t>(row) * rs;
-    Index j = 0;
-    for (; j < r4; j += 4) {
-      // Column block: k advances sequentially, so each of the 4 columns
-      // accumulates in exactly the single-RHS spmv order.
-      __m256d acc = _mm256_setzero_pd();
-      for (Index k = b; k < e; ++k) {
-        const __m256d vx = _mm256_loadu_pd(
-            x + static_cast<std::size_t>(cols[k]) * rs +
-            static_cast<std::size_t>(j));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(vals[k]), vx));
-      }
-      _mm256_storeu_pd(yr + j, acc);
-    }
-    for (; j < r; ++j) {
-      double s = 0.0;
-      for (Index k = b; k < e; ++k) {
-        s += vals[k] *
-             x[static_cast<std::size_t>(cols[k]) * rs + static_cast<std::size_t>(j)];
-      }
-      yr[j] = s;
-    }
-  }
-}
+/// 4-column __m256d block of the shared one-pass panel loop; the r mod 4
+/// tail columns ride along in scalar accumulators in the same pass.
+struct Avx2Lane {
+  static constexpr int kWidth = 4;
+  using Reg = __m256d;
+  static Reg zero() { return _mm256_setzero_pd(); }
+  static Reg splat(double v) { return _mm256_set1_pd(v); }
+  static Reg load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Reg v) { _mm256_storeu_pd(p, v); }
+  static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
+  static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+};
 
 void v_col_sums(const double* p, Index n, Index r, double* out) {
   const auto rs = static_cast<std::size_t>(r);
@@ -369,7 +349,7 @@ const Ops kAvx2Ops = {
     // Single-RHS SpMV is canonically the sequential per-row loop (short
     // Laplacian rows — gathers lose); the vectorized form is spmv_panel.
     .spmv_rows = generic_spmv_rows,
-    .spmv_panel = v_spmv_panel,
+    .spmv_panel = spmv_panel_rows<Avx2Lane>,
     .col_sums = v_col_sums,
     .add_row_bias = v_add_row_bias,
     .sub_row_bias = v_sub_row_bias,

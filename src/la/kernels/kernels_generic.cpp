@@ -160,24 +160,17 @@ double g_shift_nrm2sq(double c, double* x, std::size_t n) {
   return s;
 }
 
-void g_spmv_panel(Index row_begin, Index row_end, const Index* row_ptr,
-                  const Vertex* cols, const double* vals, const double* x,
-                  double* y, Index r) {
-  for (Index row = row_begin; row < row_end; ++row) {
-    const Index b = row_ptr[row];
-    const Index e = row_ptr[row + 1];
-    double* yr = y + static_cast<std::size_t>(row) * static_cast<std::size_t>(r);
-    for (Index j = 0; j < r; ++j) {
-      double s = 0.0;
-      for (Index k = b; k < e; ++k) {
-        s += vals[k] *
-             x[static_cast<std::size_t>(cols[k]) * static_cast<std::size_t>(r) +
-               static_cast<std::size_t>(j)];
-      }
-      yr[j] = s;
-    }
-  }
-}
+/// The scalar column block of the shared one-pass panel loop.
+struct ScalarLane {
+  static constexpr int kWidth = 1;
+  using Reg = double;
+  static Reg zero() { return 0.0; }
+  static Reg splat(double v) { return v; }
+  static Reg load(const double* p) { return *p; }
+  static void store(double* p, Reg v) { *p = v; }
+  static Reg add(Reg a, Reg b) { return a + b; }
+  static Reg mul(Reg a, Reg b) { return a * b; }
+};
 
 void g_col_sums(const double* p, Index n, Index r, double* out) {
   // Per column: the canonical lane-blocked order over rows (matches sum()
@@ -279,7 +272,7 @@ const Ops kGenericOps = {
     .axpy_sum = g_axpy_sum,
     .shift_nrm2sq = g_shift_nrm2sq,
     .spmv_rows = generic_spmv_rows,
-    .spmv_panel = g_spmv_panel,
+    .spmv_panel = spmv_panel_rows<ScalarLane>,
     .col_sums = g_col_sums,
     .add_row_bias = g_add_row_bias,
     .sub_row_bias = g_sub_row_bias,

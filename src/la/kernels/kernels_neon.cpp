@@ -197,36 +197,18 @@ double n_shift_nrm2sq(double c, double* x, std::size_t n) {
   return s;
 }
 
-void n_spmv_panel(Index row_begin, Index row_end, const Index* row_ptr,
-                  const Vertex* cols, const double* vals, const double* x,
-                  double* y, Index r) {
-  const auto rs = static_cast<std::size_t>(r);
-  const Index r2 = r & ~Index{1};
-  for (Index row = row_begin; row < row_end; ++row) {
-    const Index b = row_ptr[row];
-    const Index e = row_ptr[row + 1];
-    double* yr = y + static_cast<std::size_t>(row) * rs;
-    Index j = 0;
-    for (; j < r2; j += 2) {
-      float64x2_t acc = vdupq_n_f64(0.0);
-      for (Index k = b; k < e; ++k) {
-        const float64x2_t vx = vld1q_f64(
-            x + static_cast<std::size_t>(cols[k]) * rs +
-            static_cast<std::size_t>(j));
-        acc = vaddq_f64(acc, vmulq_f64(vdupq_n_f64(vals[k]), vx));
-      }
-      vst1q_f64(yr + j, acc);
-    }
-    for (; j < r; ++j) {
-      double s = 0.0;
-      for (Index k = b; k < e; ++k) {
-        s += vals[k] *
-             x[static_cast<std::size_t>(cols[k]) * rs + static_cast<std::size_t>(j)];
-      }
-      yr[j] = s;
-    }
-  }
-}
+/// 2-column float64x2_t block of the shared one-pass panel loop; an odd
+/// last column rides along in a scalar accumulator in the same pass.
+struct NeonLane {
+  static constexpr int kWidth = 2;
+  using Reg = float64x2_t;
+  static Reg zero() { return vdupq_n_f64(0.0); }
+  static Reg splat(double v) { return vdupq_n_f64(v); }
+  static Reg load(const double* p) { return vld1q_f64(p); }
+  static void store(double* p, Reg v) { vst1q_f64(p, v); }
+  static Reg add(Reg a, Reg b) { return vaddq_f64(a, b); }
+  static Reg mul(Reg a, Reg b) { return vmulq_f64(a, b); }
+};
 
 void n_col_sums(const double* p, Index n, Index r, double* out) {
   const auto rs = static_cast<std::size_t>(r);
@@ -355,7 +337,7 @@ const Ops kNeonOps = {
     .axpy_sum = n_axpy_sum,
     .shift_nrm2sq = n_shift_nrm2sq,
     .spmv_rows = generic_spmv_rows,
-    .spmv_panel = n_spmv_panel,
+    .spmv_panel = spmv_panel_rows<NeonLane>,
     .col_sums = n_col_sums,
     .add_row_bias = n_add_row_bias,
     .sub_row_bias = n_sub_row_bias,

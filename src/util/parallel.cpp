@@ -57,8 +57,6 @@ struct ThreadPool::Region {
   int n_chunks = 0;
   const std::function<void(int, Index, Index)>* body = nullptr;
   std::atomic<int> next_chunk{0};
-  std::atomic<int> chunks_left{0};
-  std::atomic<int> workers_inside{0};  ///< pool workers currently attached
   std::mutex error_mutex;
   int first_error_chunk = -1;
   std::exception_ptr error;  ///< from the lowest-indexed failing chunk
@@ -88,10 +86,30 @@ struct ThreadPool::Region {
           error = std::current_exception();
         }
       }
-      chunks_left.fetch_sub(1, std::memory_order_acq_rel);
     }
   }
 };
+
+namespace {
+
+// Layout of ThreadPool::state_: the region epoch in the high 32 bits, an
+// "open to new workers" flag, and the number of attached workers below.
+constexpr std::uint64_t kEpochShift = 32;
+constexpr std::uint64_t kOpen = std::uint64_t{1} << 31;
+constexpr std::uint64_t kAttachedMask = kOpen - 1;
+
+std::uint64_t epoch_of(std::uint64_t state) { return state >> kEpochShift; }
+
+/// Eases the spinning core (and its SMT sibling) between polls.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int workers) : workers_(workers) {
   SSP_REQUIRE(workers >= 1, "ThreadPool: need at least one worker");
@@ -102,48 +120,68 @@ ThreadPool::ThreadPool(int workers) : workers_(workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  wake_.notify_all();
+  stop_.store(true, std::memory_order_seq_cst);
+  wake(wake_, parked_workers_);
   for (std::thread& t : threads_) t.join();
 }
 
 bool ThreadPool::on_worker_thread() { return t_on_worker; }
 
+template <typename Ready>
+void ThreadPool::await(std::condition_variable& cv, std::atomic<int>& parked,
+                       Ready ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(kSpinUs);
+  for (unsigned polls = 1;; ++polls) {
+    if (ready()) return;
+    cpu_relax();
+    if (polls % 64 == 0 && std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
+  }
+  std::unique_lock<std::mutex> lock(park_mutex_);
+  obs::counter_add("pool.parks", 1);
+  // Announce the park before the final check (both seq_cst): a publisher
+  // that reads parked == 0 published early enough for `ready()` to see it.
+  parked.fetch_add(1, std::memory_order_seq_cst);
+  cv.wait(lock, ready);
+  parked.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void ThreadPool::wake(std::condition_variable& cv,
+                      const std::atomic<int>& parked) {
+  if (parked.load(std::memory_order_seq_cst) == 0) return;
+  // Taking the lock orders this wake after any parker's final check: it
+  // is either already waiting on `cv` or will see the published state.
+  { const std::lock_guard<std::mutex> lock(park_mutex_); }
+  cv.notify_all();
+}
+
 void ThreadPool::worker_loop(int worker) {
   t_on_worker = true;
   std::uint64_t seen_epoch = 0;
   for (;;) {
-    Region* region = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] {
-        return stop_ || (region_ != nullptr && epoch_ != seen_epoch);
-      });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      region = region_;
-      // Attach while holding the lock: the submitter cannot observe
-      // "all chunks done and nobody inside" and destroy the region
-      // between our pointer read and this increment.
-      region->workers_inside.fetch_add(1, std::memory_order_relaxed);
+    std::uint64_t state = 0;
+    await(wake_, parked_workers_, [&] {
+      state = state_.load(std::memory_order_seq_cst);
+      return stop_.load(std::memory_order_seq_cst) ||
+             ((state & kOpen) != 0 && epoch_of(state) != seen_epoch);
+    });
+    if (stop_.load(std::memory_order_seq_cst)) return;
+    // Attach: succeeds only while this region is still open, and the
+    // submitter retires a region only once nobody is attached — so
+    // `region_` stays valid until the matching detach below.
+    if (!state_.compare_exchange_strong(state, state + 1,
+                                        std::memory_order_acq_rel)) {
+      continue;  // another worker attached first, or the region closed
     }
+    seen_epoch = epoch_of(state);
     const bool timed = obs::metrics_enabled();
     const std::uint64_t t0 = timed ? busy_now_ns() : 0;
-    region->run_claimed_chunks();
+    region_->run_claimed_chunks();
     if (timed) add_worker_busy(worker, busy_now_ns() - t0);
-    bool region_complete = false;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      const int inside =
-          region->workers_inside.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      region_complete =
-          inside == 0 &&
-          region->chunks_left.load(std::memory_order_acquire) == 0;
-    }
-    if (region_complete) done_.notify_all();
+    state_.fetch_sub(1, std::memory_order_seq_cst);  // detach
+    wake(done_, parked_submitter_);
   }
 }
 
@@ -155,7 +193,6 @@ void ThreadPool::run_chunks_inline(
   region.end = end;
   region.n_chunks = n_chunks;
   region.body = &body;
-  region.chunks_left.store(n_chunks, std::memory_order_relaxed);
   // An inline region is still a region: mark the thread so nested
   // parallel calls (e.g. row-parallel SpMV inside a 1-chunk probe loop)
   // run inline too instead of fanning out across the pool — a
@@ -191,13 +228,12 @@ void ThreadPool::run_chunks(Index begin, Index end, int n_chunks,
   region.end = end;
   region.n_chunks = n_chunks;
   region.body = &body;
-  region.chunks_left.store(n_chunks, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    region_ = &region;
-    ++epoch_;
-  }
-  wake_.notify_all();
+  region_ = &region;
+  ++epoch_;
+  // Publish: spinning workers see the new epoch on their next poll,
+  // parked ones are woken.
+  state_.store((epoch_ << kEpochShift) | kOpen, std::memory_order_seq_cst);
+  wake(wake_, parked_workers_);
 
   // The submitting thread participates as a worker (worker 0 in the
   // busy-time accounting).
@@ -208,14 +244,13 @@ void ThreadPool::run_chunks(Index begin, Index end, int n_chunks,
   if (timed) add_worker_busy(0, busy_now_ns() - t0);
   t_on_worker = false;
 
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] {
-      return region.chunks_left.load(std::memory_order_acquire) == 0 &&
-             region.workers_inside.load(std::memory_order_acquire) == 0;
-    });
-    region_ = nullptr;
-  }
+  // Every chunk is claimed now: close the region to late workers, then
+  // wait for the attached ones to finish theirs.
+  state_.fetch_and(~kOpen, std::memory_order_seq_cst);
+  await(done_, parked_submitter_, [&] {
+    return (state_.load(std::memory_order_seq_cst) & kAttachedMask) == 0;
+  });
+  region_ = nullptr;
   obs::gauge_set("pool.queue_depth", 0);
   if (region.error) std::rethrow_exception(region.error);
 }

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
 
 #include "eigen/fiedler.hpp"
 #include "eigen/lanczos.hpp"
@@ -18,6 +22,7 @@
 #include "solver/cholesky.hpp"
 #include "tree/kruskal.hpp"
 #include "tree/tree_solver.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ssp {
@@ -140,6 +145,189 @@ TEST(GeneralizedPower, TenIterationsGetWithinSixPercent) {
   EXPECT_LT(rel_err, 0.06);
   // Power iteration under-estimates: λ̃ <= λ (Rayleigh quotient bound).
   EXPECT_LE(res.eigenvalue, oracle.back() * (1.0 + 1e-9));
+}
+
+// The two-pass generalized power iteration (L_G·h, then a separate
+// hnᵀL_G·hn pass) that the fused one-pass form must reproduce bit for bit.
+PowerResult reference_two_pass_power(const CsrMatrix& lg, const LinOp& solve_p,
+                                     Rng& rng, const PowerOptions& opts) {
+  const Index n = lg.rows();
+  Vec h = random_probe_vector(n, rng);
+  Vec gh(static_cast<std::size_t>(n));
+  Vec hn(static_cast<std::size_t>(n));
+  PowerResult result;
+  double prev = 0.0;
+  for (Index it = 1; it <= opts.max_iterations; ++it) {
+    lg.multiply(h, gh);
+    solve_p(gh, hn);
+    project_out_mean(hn);
+    const double denom = dot(hn, gh);
+    const double numer = lg.quadratic(hn);
+    result.iterations = it;
+    if (denom <= 0.0) break;
+    const double lambda = numer / denom;
+    result.eigenvalue = lambda;
+    const double nrm = norm2(hn);
+    if (nrm == 0.0) break;
+    h = hn;
+    scale(h, 1.0 / nrm);
+    if (it > 1 &&
+        std::abs(lambda - prev) <= opts.rel_tolerance * std::abs(lambda)) {
+      break;
+    }
+    prev = lambda;
+  }
+  result.vector = std::move(h);
+  return result;
+}
+
+void expect_same_power_bits(const PowerResult& fused, const PowerResult& ref,
+                            const std::string& what) {
+  EXPECT_EQ(fused.iterations, ref.iterations) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.eigenvalue),
+            std::bit_cast<std::uint64_t>(ref.eigenvalue))
+      << what << ": " << fused.eigenvalue << " vs " << ref.eigenvalue;
+  ASSERT_EQ(fused.vector.size(), ref.vector.size()) << what;
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < ref.vector.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(fused.vector[i]) !=
+        std::bit_cast<std::uint64_t>(ref.vector[i])) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u) << what;
+}
+
+TEST(GeneralizedPower, FusedPassIsBitIdenticalToTwoPassReference) {
+  // Sizes above the row-parallel SpMV floor, so at threads > 1 both the
+  // single multiply and the 2-column panel fan out on the pool.
+  Rng gen(31);
+  struct Case {
+    std::string name;
+    Graph g;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"er", erdos_renyi_connected(
+                             700, 9000, gen,
+                             WeightModel::log_uniform(0.1, 10.0))});
+  cases.push_back(
+      {"grid", grid_2d(80, 80, WeightModel::log_uniform(0.1, 10.0), &gen)});
+  cases.push_back({"trigrid", triangulated_grid(
+                                  60, 60, WeightModel::uniform(0.5, 2.0),
+                                  &gen)});
+  const std::vector<std::pair<std::string, PowerOptions>> stops = {
+      {"converged", {.max_iterations = 60, .rel_tolerance = 1e-4}},
+      {"limit", {.max_iterations = 10, .rel_tolerance = 0.0}},
+      {"single", {.max_iterations = 1, .rel_tolerance = 0.0}},
+  };
+  for (const Case& c : cases) {
+    const CsrMatrix lg = laplacian(c.g);
+    const SpanningTree tree = max_weight_spanning_tree(c.g);
+    const TreeSolver ts(tree);
+    const SparseCholesky chol = SparseCholesky::factor_laplacian(
+        laplacian(tree.as_graph()));
+    const std::vector<std::pair<std::string, LinOp>> solvers = {
+        {"tree", make_tree_solver_op(ts)},
+        {"cholesky", make_cholesky_op(chol)},
+    };
+    for (const int threads : {1, 2, 4}) {
+      set_default_threads(threads);
+      for (const auto& [solver_name, solve_p] : solvers) {
+        for (const auto& [stop_name, opts] : stops) {
+          const std::string what = c.name + "/" + solver_name + "/" +
+                                   stop_name + "/threads=" +
+                                   std::to_string(threads);
+          Rng rng_a(77);
+          Rng rng_b(77);
+          const PowerResult fused =
+              generalized_power_iteration(lg, solve_p, rng_a, opts);
+          const PowerResult ref =
+              reference_two_pass_power(lg, solve_p, rng_b, opts);
+          expect_same_power_bits(fused, ref, what);
+          if (stop_name == "converged") {
+            EXPECT_LT(fused.iterations, opts.max_iterations) << what;
+          } else {
+            EXPECT_EQ(fused.iterations, opts.max_iterations) << what;
+          }
+          EXPECT_EQ(rng_a(), rng_b()) << what;  // same draws consumed
+        }
+      }
+    }
+  }
+  set_default_threads(0);
+}
+
+TEST(GeneralizedPower, FusedPassMatchesReferenceOnDegenerateExits) {
+  Rng gen(32);
+  const Graph g =
+      erdos_renyi_connected(700, 9000, gen, WeightModel::uniform(0.5, 2.0));
+  const CsrMatrix lg = laplacian(g);
+  const SpanningTree tree = max_weight_spanning_tree(g);
+  const TreeSolver ts(tree);
+  const LinOp exact = make_tree_solver_op(ts);
+
+  // A solve that turns indefinite on its third call: denom <= 0 after two
+  // good steps keeps the second step's estimate and iterate.
+  const auto flips_on_third_call = [&exact](int* calls) -> LinOp {
+    return [&exact, calls](std::span<const double> x, std::span<double> y) {
+      exact(x, y);
+      if (++*calls >= 3) scale(y, -1.0);
+    };
+  };
+  // A zero solve: hn = 0, so denom = 0 on the first step.
+  const LinOp zero = [](std::span<const double>, std::span<double> y) {
+    fill(y, 0.0);
+  };
+  // A vanishing solve: hn ≈ 1e-200·L_P⁺x keeps denom > 0 but ‖hn‖²
+  // underflows, so ‖hn‖ = 0 ends the iteration after the estimate.
+  const auto vanishing_on_second_call = [&exact](int* calls) -> LinOp {
+    return [&exact, calls](std::span<const double> x, std::span<double> y) {
+      exact(x, y);
+      if (++*calls >= 2) scale(y, 1e-200);
+    };
+  };
+
+  for (const int threads : {1, 2, 4}) {
+    set_default_threads(threads);
+    const PowerOptions opts{.max_iterations = 10, .rel_tolerance = 0.0};
+    const std::string t = "/threads=" + std::to_string(threads);
+    {
+      int calls_a = 0;
+      int calls_b = 0;
+      Rng rng_a(5);
+      Rng rng_b(5);
+      const PowerResult fused = generalized_power_iteration(
+          lg, flips_on_third_call(&calls_a), rng_a, opts);
+      const PowerResult ref = reference_two_pass_power(
+          lg, flips_on_third_call(&calls_b), rng_b, opts);
+      expect_same_power_bits(fused, ref, "denom<=0" + t);
+      EXPECT_EQ(fused.iterations, 3);
+      EXPECT_GT(fused.eigenvalue, 0.0);
+    }
+    {
+      Rng rng_a(6);
+      Rng rng_b(6);
+      const PowerResult fused =
+          generalized_power_iteration(lg, zero, rng_a, opts);
+      const PowerResult ref = reference_two_pass_power(lg, zero, rng_b, opts);
+      expect_same_power_bits(fused, ref, "zero solve" + t);
+      EXPECT_EQ(fused.iterations, 1);
+      EXPECT_EQ(fused.eigenvalue, 0.0);
+    }
+    {
+      int calls_a = 0;
+      int calls_b = 0;
+      Rng rng_a(7);
+      Rng rng_b(7);
+      const PowerResult fused = generalized_power_iteration(
+          lg, vanishing_on_second_call(&calls_a), rng_a, opts);
+      const PowerResult ref = reference_two_pass_power(
+          lg, vanishing_on_second_call(&calls_b), rng_b, opts);
+      expect_same_power_bits(fused, ref, "zero iterate" + t);
+      EXPECT_EQ(fused.iterations, 2);
+    }
+  }
+  set_default_threads(0);
 }
 
 TEST(PencilLanczos, MatchesDenseOracleExtremes) {

@@ -295,11 +295,18 @@ TEST(Kernels, SpmvPanelColumnsMatchSingleRhs) {
       erdos_renyi_connected(60, 200, rng, WeightModel::uniform(0.5, 2.0));
   const CsrMatrix lg = laplacian(g);
   const Index n = lg.rows();
-  for (const Index r : {Index{1}, Index{3}, Index{4}, Index{7}, Index{8}}) {
+  // Every tail shape of the one-pass row loop: r mod 4 in {0, 1, 2, 3}
+  // with zero, one and two vector blocks, and the r > 8 row-held
+  // accumulator form.
+  for (const Index r : {Index{1}, Index{2}, Index{3}, Index{4}, Index{5},
+                        Index{6}, Index{7}, Index{8}, Index{11}}) {
     Vec panel_x(static_cast<std::size_t>(n * r));
     for (double& v : panel_x) v = rng.normal();
     Vec panel_y(static_cast<std::size_t>(n * r));
-    lg.multiply_panel(panel_x, panel_y, r);
+    {
+      kernels::ScopedBackend scope(Backend::kGeneric);
+      lg.multiply_panel(panel_x, panel_y, r);
+    }
 
     Vec col_x(static_cast<std::size_t>(n));
     Vec col_y(static_cast<std::size_t>(n));
@@ -316,7 +323,7 @@ TEST(Kernels, SpmvPanelColumnsMatchSingleRhs) {
       }
     }
 
-    // And the panel itself is backend-invariant.
+    // And the panel itself is backend-invariant (generic reference above).
     for (Backend b : simd_backends()) {
       kernels::ScopedBackend scope(b);
       Vec panel_y2(static_cast<std::size_t>(n * r));

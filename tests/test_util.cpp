@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -238,6 +245,137 @@ TEST(Parallel, ThreadPoolRejectsBadConfig) {
   EXPECT_THROW(
       pool.run_chunks(0, 4, 0, [](int, Index, Index) {}),
       std::invalid_argument);
+}
+
+std::uint64_t counter_value(const char* name) {
+  std::uint64_t value = 0;
+  obs::for_each_metric([&](const obs::MetricEntry& e) {
+    if (e.kind == obs::MetricKind::kCounter && std::string(e.name) == name) {
+      value = e.counter;
+    }
+  });
+  return value;
+}
+
+TEST(Parallel, BackToBackTinyRegionsCoverEveryIndexOnce) {
+  // Regions issued inside the spin window: the hand-off must neither
+  // drop nor repeat a chunk when workers attach to consecutive regions
+  // without parking in between.
+  ThreadPool pool(3);
+  constexpr int kRegions = 100000;
+  constexpr Index kWidth = 4;
+  std::vector<unsigned char> hits(static_cast<std::size_t>(kRegions * kWidth),
+                                  0);
+  for (int r = 0; r < kRegions; ++r) {
+    const int chunks = 2 + r % 3;  // 2, 3, 4 chunks over 4 indices
+    pool.run_chunks(0, kWidth, chunks, [&](int, Index b, Index e) {
+      for (Index i = b; i < e; ++i) {
+        ++hits[static_cast<std::size_t>(r * kWidth + i)];
+      }
+    });
+  }
+  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
+                          [](unsigned char h) { return h == 1; }));
+}
+
+TEST(Parallel, RegionsAfterTheSpinWindowWakeParkedWorkers) {
+  // Sleeps longer than the spin budget make every worker (and the
+  // submitter, while a worker holds a slow chunk) park on its condition
+  // variable; each region must still run all chunks, on the workers too.
+  obs::reset_metrics_for_tests();
+  obs::set_metrics_enabled(true);
+  ThreadPool pool(3);
+  std::set<std::thread::id> runners;
+  for (int r = 0; r < 20; ++r) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::vector<int> hits(64, 0);
+    std::vector<std::thread::id> ids(3);
+    pool.run_chunks(0, 64, 3, [&](int c, Index b, Index e) {
+      ids[static_cast<std::size_t>(c)] = std::this_thread::get_id();
+      // Long enough for a woken worker to arrive while chunks remain.
+      std::this_thread::sleep_for(std::chrono::microseconds(c == 2 ? 1300
+                                                                   : 300));
+      for (Index i = b; i < e; ++i) ++hits[static_cast<std::size_t>(i)];
+    });
+    EXPECT_TRUE(
+        std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }))
+        << "region " << r;
+    runners.insert(ids.begin(), ids.end());
+  }
+  EXPECT_GE(counter_value("pool.parks"), 20u);
+  EXPECT_EQ(counter_value("pool.regions"), 20u);
+  EXPECT_GT(runners.size(), 1u);  // parked workers did take chunks
+  obs::set_metrics_enabled(false);
+  obs::reset_metrics_for_tests();
+}
+
+TEST(Parallel, LowestIndexedExceptionWinsWhenEveryWorkerThrows) {
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 200; ++rep) {
+    try {
+      pool.run_chunks(0, 3, 3, [](int chunk, Index, Index) {
+        throw std::runtime_error("chunk " + std::to_string(chunk));
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 0") << "rep " << rep;
+    }
+    try {
+      // Chunk 0 finishes late and cleanly; 1 and 2 both throw.
+      pool.run_chunks(0, 3, 3, [](int chunk, Index, Index) {
+        if (chunk == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          return;
+        }
+        throw std::runtime_error("chunk " + std::to_string(chunk));
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 1") << "rep " << rep;
+    }
+  }
+}
+
+TEST(Parallel, PoolIsDestructibleWhileWorkersSpinOrPark) {
+  std::atomic<int> ran{0};
+  const auto body = [&ran](int, Index b, Index e) {
+    ran.fetch_add(static_cast<int>(e - b));
+  };
+  {
+    ThreadPool idle(4);  // never ran a region
+  }
+  {
+    ThreadPool spinning(4);
+    spinning.run_chunks(0, 8, 4, body);  // workers still in the spin window
+  }
+  {
+    ThreadPool parked(4);
+    parked.run_chunks(0, 8, 4, body);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // past it
+  }
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(Parallel, NestedRegionsOnAPoolWorkerStayOnThatThread) {
+  ThreadPool pool(3);
+  std::vector<int> hits(48, 0);
+  std::vector<int> nested_off_thread(3, 0);
+  pool.run_chunks(0, 3, 3, [&](int outer, Index, Index) {
+    EXPECT_TRUE(ThreadPool::on_worker_thread());
+    const std::thread::id self = std::this_thread::get_id();
+    pool.run_chunks(0, 16, 4, [&](int, Index b, Index e) {
+      if (std::this_thread::get_id() != self) {
+        ++nested_off_thread[static_cast<std::size_t>(outer)];
+      }
+      for (Index i = b; i < e; ++i) {
+        ++hits[static_cast<std::size_t>(outer * 16 + i)];
+      }
+    });
+  });
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  EXPECT_TRUE(
+      std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }));
+  EXPECT_EQ(nested_off_thread, std::vector<int>(3, 0));
 }
 
 TEST(UnionFind, SingletonsAtStart) {
