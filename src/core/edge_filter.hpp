@@ -50,10 +50,16 @@ struct FilterStats {
 
 /// Applies the threshold + similarity policy to an embedding. Candidates
 /// are visited in descending heat order, ties by ascending edge id; the
-/// returned ids preserve that order. Only the visited prefix is sorted
-/// (doubling batches selected off the top, the first 8 × `max_edges`), so
-/// the typical cost is O(m + k log k) for m off-tree edges and k examined
-/// candidates, rather than a full sort of every candidate.
+/// returned ids preserve that order. θ = 0 admits every heat ≥ 0, also
+/// when `heat_max` is infinite. The candidates are counting-sorted, stably,
+/// into at most 4096 buckets by the bits of their heat, hottest bucket
+/// first, and only the buckets the walk reaches are sorted. A reached
+/// bucket larger than 8 × `max_edges` is sorted in doubling batches
+/// selected off its top. The typical cost is O(m + k log(k/B)) for m
+/// off-tree edges, k examined candidates and B reached buckets, rather
+/// than a full sort of every candidate. When one bucket holds nearly all
+/// candidates, the cost is that of doubling batches over them plus two
+/// linear passes.
 [[nodiscard]] std::vector<EdgeId> filter_offtree_edges(
     const Graph& g, const OffTreeEmbedding& emb, double theta,
     const FilterOptions& opts = {}, FilterStats* stats = nullptr);

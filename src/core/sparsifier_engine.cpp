@@ -230,14 +230,14 @@ StepStatus Sparsifier::step_impl() {
                                stats.lambda_max, opts_.power_steps);
 
   // --- Step 6: add only dissimilar filtered edges. ---
-  // Adaptive "small portions" (§3.7): while far from the target, add up to
-  // n/4 edges per round; once within 8x of the target, shrink the batch to
-  // n/16 so the final density is not overshot. A user-provided cap wins.
+  // Adaptive "small portions" (§3.7): the cap tracks the remaining
+  // multiplicative gap σ²_est/σ² to the target, n/4 edges per round past a
+  // gap of 1000, n/8 past 100, n/16 past 3 and n/24 below that, never fewer
+  // than 64. Large batches while far away mean few expensive re-embedding
+  // rounds; small ones near the target do not overshoot the density. A
+  // user-provided cap wins.
   const EdgeId cap_per_round = [&] {
     if (opts_.max_edges_per_round > 0) return opts_.max_edges_per_round;
-    // Batch size tracks the remaining multiplicative gap to the target:
-    // large batches while far away (few expensive re-embedding rounds),
-    // small ones near the target (no density overshoot).
     const double gap = stats.sigma2_estimate / opts_.sigma2;
     const Index divisor =
         gap > 1000.0 ? 4 : (gap > 100.0 ? 8 : (gap > 3.0 ? 16 : 24));

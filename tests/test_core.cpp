@@ -280,7 +280,8 @@ std::vector<EdgeId> reference_filter(const Graph& g,
   std::vector<EdgeId> selected;
   if (emb.offtree_edges.empty() || emb.heat_max <= 0.0) return selected;
   std::vector<std::size_t> idx;
-  const double cut = theta * emb.heat_max;
+  // θ = 0 admits every heat ≥ 0, also when heat_max is infinite.
+  const double cut = theta > 0.0 ? theta * emb.heat_max : 0.0;
   for (std::size_t k = 0; k < emb.heat.size(); ++k) {
     if (emb.heat[k] >= cut) idx.push_back(k);
   }
@@ -310,20 +311,18 @@ std::vector<EdgeId> reference_filter(const Graph& g,
   return selected;
 }
 
-// A path backbone plus `offtree` random chords (parallel chords allowed)
-// whose heats come from `levels`, so most heats tie.
-std::pair<Graph, OffTreeEmbedding> tied_heat_instance(
-    Vertex n, EdgeId offtree, const std::vector<double>& levels, Rng& rng) {
+// A path backbone plus one random chord per entry of `heats` (parallel
+// chords allowed), carrying that heat.
+std::pair<Graph, OffTreeEmbedding> chord_instance(
+    Vertex n, const std::vector<double>& heats, Rng& rng) {
   Graph g(n);
   for (Vertex v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1, 1.0);
   OffTreeEmbedding emb;
-  for (EdgeId k = 0; k < offtree; ++k) {
+  for (const double h : heats) {
     const auto u = static_cast<Vertex>(rng.uniform_int(0, n - 1));
     auto v = static_cast<Vertex>(rng.uniform_int(0, n - 2));
     if (v >= u) ++v;
     emb.offtree_edges.push_back(g.add_edge(u, v, 1.0));
-    const double h = levels[static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(levels.size()) - 1))];
     emb.heat.push_back(h);
     emb.heat_max = std::max(emb.heat_max, h);
   }
@@ -331,20 +330,22 @@ std::pair<Graph, OffTreeEmbedding> tied_heat_instance(
   return {std::move(g), std::move(emb)};
 }
 
-TEST(Filter, LazySelectionMatchesFullSortReference) {
-  const double inf = std::numeric_limits<double>::infinity();
-  Rng rng(41);
-  std::vector<std::pair<Graph, OffTreeEmbedding>> cases;
-  // Few vertices, many chords: node-disjoint accepts at most n/2 < 64, so
-  // every candidate is examined, across four doubling batches.
-  cases.push_back(tied_heat_instance(100, 5000, {0.1, 0.3, 0.5, 1.0}, rng));
-  cases.push_back(tied_heat_instance(2000, 3000, {0.25, 0.5, 0.75, 1.0}, rng));
-  cases.push_back(tied_heat_instance(300, 2000, {0.2, 1.0, 7.5, inf}, rng));
-  // Infinite heats below a finite heat_max (a malformed but legal input).
-  cases.push_back(tied_heat_instance(500, 2000, {0.0, 0.4, 0.9, 1.0}, rng));
-  cases.back().second.heat[7] = inf;
-  cases.back().second.heat[1999] = inf;
+// `offtree` chords whose heats are drawn from `levels`, so most heats tie.
+std::pair<Graph, OffTreeEmbedding> tied_heat_instance(
+    Vertex n, EdgeId offtree, const std::vector<double>& levels, Rng& rng) {
+  std::vector<double> heats;
+  for (EdgeId k = 0; k < offtree; ++k) {
+    heats.push_back(levels[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(levels.size()) - 1))]);
+  }
+  return chord_instance(n, heats, rng);
+}
 
+// Every policy × max_edges ∈ {0, 1, 64, > candidates} × θ ∈ {0, 0.3, 1}
+// against the full-sort reference. Returns the most candidates examined
+// by a max_edges = 64 run.
+std::size_t expect_matches_reference(
+    const std::vector<std::pair<Graph, OffTreeEmbedding>>& cases) {
   const SimilarityPolicy policies[] = {SimilarityPolicy::kNone,
                                        SimilarityPolicy::kNodeDisjoint,
                                        SimilarityPolicy::kBounded};
@@ -372,8 +373,92 @@ TEST(Filter, LazySelectionMatchesFullSortReference) {
       }
     }
   }
-  // At least three batches (8·64, then 2·8·64) were taken at max_edges 64.
-  EXPECT_GT(most_examined, std::size_t{3 * 8 * 64});
+  return most_examined;
+}
+
+TEST(Filter, LazySelectionMatchesFullSortReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(41);
+  std::vector<std::pair<Graph, OffTreeEmbedding>> cases;
+  // Few vertices, many chords: node-disjoint accepts at most n/2 < 64, so
+  // every candidate is examined.
+  cases.push_back(tied_heat_instance(100, 5000, {0.1, 0.3, 0.5, 1.0}, rng));
+  cases.push_back(tied_heat_instance(2000, 3000, {0.25, 0.5, 0.75, 1.0}, rng));
+  cases.push_back(tied_heat_instance(300, 2000, {0.2, 1.0, 7.5, inf}, rng));
+  // Infinite heats below a finite heat_max (a malformed but legal input).
+  cases.push_back(tied_heat_instance(500, 2000, {0.0, 0.4, 0.9, 1.0}, rng));
+  cases.back().second.heat[7] = inf;
+  cases.back().second.heat[1999] = inf;
+
+  // The walk went well past eight times the cap (8·64) at max_edges 64.
+  EXPECT_GT(expect_matches_reference(cases), std::size_t{3 * 8 * 64});
+}
+
+TEST(Filter, BucketWalkEdgeCasesMatchFullSortReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(43);
+  std::vector<std::pair<Graph, OffTreeEmbedding>> cases;
+  // All heats equal: zero key span, one bucket already in id order.
+  cases.push_back(tied_heat_instance(200, 3000, {0.5}, rng));
+  // The same with the edges listed in descending id order.
+  cases.push_back(tied_heat_instance(200, 3000, {0.5}, rng));
+  std::ranges::reverse(cases.back().second.offtree_edges);
+  // Heats from the smallest subnormal to 1e300, plus +inf.
+  {
+    std::vector<double> heats;
+    for (int k = 0; k < 3000; ++k) {
+      const double x = rng.uniform();
+      heats.push_back(k % 500 == 0 ? inf
+                                   : std::pow(10.0, -323.0 + 623.0 * x));
+    }
+    heats[1] = 5e-324;
+    heats[2] = 1e300;
+    cases.push_back(chord_instance(400, heats, rng));
+  }
+  // More than 8 × 64 distinct heats inside one bucket width (1 + k·2⁻⁵⁰),
+  // below a few hotter edges and above a wide spread of cooler ones.
+  {
+    std::vector<double> heats;
+    for (int k = 0; k < 3000; ++k) {
+      heats.push_back(
+          k % 100 == 0
+              ? (k % 200 == 0 ? 2.0 : 1e-200 * (1.0 + rng.uniform()))
+              : 1.0 + static_cast<double>(rng.uniform_int(0, 4000)) *
+                          std::ldexp(1.0, -50));
+    }
+    cases.push_back(chord_instance(150, heats, rng));
+  }
+  // Mixed ±0.0 heats, admitted at θ = 0 and tied with each other.
+  cases.push_back(tied_heat_instance(300, 2000, {-0.0, 0.0, 0.25, 1.0}, rng));
+  cases.push_back(tied_heat_instance(300, 2000, {-0.0, 0.0}, rng));
+  cases.back().second.heat_max = 1.0;
+  // A single candidate, alone and above many cooler edges.
+  cases.push_back(chord_instance(50, {0.7}, rng));
+  cases.push_back(tied_heat_instance(300, 2000, {0.1, 0.2}, rng));
+  cases.back().second.heat[999] = 1.0;
+  cases.back().second.heat_max = 1.0;
+
+  (void)expect_matches_reference(cases);
+}
+
+TEST(Filter, ThetaZeroAdmitsEveryCandidateUnderInfiniteHeatMax) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Graph g(4);
+  for (Vertex v = 0; v + 1 < 4; ++v) g.add_edge(v, v + 1, 1.0);
+  const EdgeId cool = g.add_edge(0, 2, 1.0);
+  const EdgeId hot = g.add_edge(1, 3, 1.0);
+  g.finalize();
+  OffTreeEmbedding emb;
+  emb.offtree_edges = {cool, hot};
+  emb.heat = {2.0, inf};
+  emb.heat_max = inf;
+  const auto all = filter_offtree_edges(
+      g, emb, 0.0, {.similarity = SimilarityPolicy::kNone});
+  EXPECT_EQ(all, (std::vector<EdgeId>{hot, cool}));
+  // θ > 0 keeps only heats at the infinite maximum.
+  const auto top = filter_offtree_edges(
+      g, emb, 0.5, {.similarity = SimilarityPolicy::kNone});
+  EXPECT_EQ(top, (std::vector<EdgeId>{hot}));
 }
 
 TEST(Filter, StatsCountCandidatesAndExaminedEdges) {
