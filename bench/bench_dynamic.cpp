@@ -10,8 +10,8 @@
 //             paid identically by every mode and the incremental path
 //             never copies the graph, so charging a per-batch rebuild to
 //             the baseline would inflate every speedup.
-//   exact   — DynamicSparsifier, bit-identical to cold (tree repair +
-//             engine rebind).
+//   exact   — DynamicSparsifier, bit-identical to cold (Kruskal over the
+//             kept edge order + engine rebind).
 //   refine  — DynamicSparsifier with warm_refine: keeps the previous
 //             selection, so an update that leaves κ under target costs
 //             one estimation round instead of a full densification.
@@ -50,12 +50,10 @@ constexpr double kGateMaxOvershoot = 1.1;
 
 /// The two measured workloads. `kReweight` is the paper's motivating
 /// pattern — circuit parameter updates change edge weights, not topology:
-/// reweight-only batches keep the graph finalized and (when no tree edge
-/// is touched) the backbone bit-valid, so the incremental path pays none
-/// of the O(m) compaction / re-root costs. `kMixed` (~60% reweights, ~20%
-/// inserts, ~20% deletes) stresses the structural-repair machinery: every
-/// delete batch costs O(m) compaction that the cold baseline also pays
-/// only inside its rebuild.
+/// reweight-only batches keep the graph finalized, so the incremental path
+/// pays no O(m) compaction. `kMixed` (~60% reweights, ~20% inserts, ~20%
+/// deletes) adds topology churn: every delete batch costs O(m) compaction
+/// that the cold baseline also pays only inside its rebuild.
 enum class Workload { kReweight, kMixed };
 
 const char* to_string(Workload w) {
@@ -98,7 +96,6 @@ struct Gate {
 DynamicOptions make_options(bool refine) {
   DynamicOptions opts;
   opts.base.sigma2 = kSigma2;
-  opts.rebuild_threshold = 1e9;  // measure the incremental paths
   opts.warm_refine = refine;
   return opts;
 }

@@ -90,25 +90,14 @@ const char* to_string(ScaleStage stage) {
   return "?";
 }
 
-const char* to_string(UpdateRoute route) {
-  switch (route) {
-    case UpdateRoute::kResparsify:
-      return "resparsify";
-    case UpdateRoute::kTreeRepair:
-      return "tree-repair";
-    case UpdateRoute::kRebuild:
-      return "rebuild";
-  }
-  return "?";
-}
-
 const char* to_string(DynamicStage stage) {
   switch (stage) {
     case DynamicStage::kValidate:
       return "validate";
     case DynamicStage::kApplyGraph:
       return "apply-graph";
-    case DynamicStage::kTreeRepair:
+    case DynamicStage::kBackbone:
+      // Pre-rename spelling, kept: it is a wire and metric name.
       return "tree-repair";
     case DynamicStage::kRebind:
       return "rebind";

@@ -14,7 +14,6 @@ namespace ssp {
 enum class StageKind;     // full definition in core/sparsifier_engine.hpp
 enum class CutPolicy;     // full definition in scale/partitioned_sparsifier.hpp
 enum class ScaleStage;    // full definition in scale/partitioned_sparsifier.hpp
-enum class UpdateRoute;   // full definition in dynamic/dynamic_sparsifier.hpp
 enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 
 /// "akpw" | "kruskal" | "spt"
@@ -36,9 +35,6 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 /// "partition" | "extract" | "block-sparsify" | "cut-sparsify" | "stitch" |
 /// "quality"
 [[nodiscard]] const char* to_string(ScaleStage stage);
-
-/// "resparsify" | "tree-repair" | "rebuild"
-[[nodiscard]] const char* to_string(UpdateRoute route);
 
 /// "validate" | "apply-graph" | "tree-repair" | "rebind" | "sparsify"
 [[nodiscard]] const char* to_string(DynamicStage stage);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "graph/connectivity.hpp"
@@ -16,22 +17,11 @@ namespace ssp {
 
 // ---- DynamicOptions --------------------------------------------------------
 
-void DynamicOptions::validate() const {
-  base.validate();
-  SSP_REQUIRE(rebuild_threshold >= 0.0 && std::isfinite(rebuild_threshold),
-              "DynamicOptions: rebuild_threshold must be finite and >= 0");
-}
+void DynamicOptions::validate() const { base.validate(); }
 
 DynamicOptions& DynamicOptions::with_base(SparsifyOptions opts) {
   opts.validate();
   base = std::move(opts);
-  return *this;
-}
-
-DynamicOptions& DynamicOptions::with_rebuild_threshold(double fraction) {
-  SSP_REQUIRE(fraction >= 0.0 && std::isfinite(fraction),
-              "DynamicOptions: rebuild_threshold must be finite and >= 0");
-  rebuild_threshold = fraction;
   return *this;
 }
 
@@ -52,13 +42,11 @@ DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
 
   UpdateStats stats;
   stats.batch = 0;
-  stats.dirty_fraction = 1.0;
-  stats.route = UpdateRoute::kRebuild;
 
   WallTimer timer;
-  backbone_ = max_weight_spanning_tree(graph_);
-  tree_.emplace(graph_, backbone_->tree_edge_ids());
-  notify_stage(DynamicStage::kTreeRepair, timer.seconds(), stats);
+  order_ = max_weight_edge_order(graph_);
+  backbone_.emplace(graph_, kruskal_scan(graph_, order_));
+  notify_stage(DynamicStage::kBackbone, timer.seconds(), stats);
 
   timer.reset();
   SparsifyOptions engine_opts = opts_.base;
@@ -94,13 +82,16 @@ DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
   SSP_REQUIRE(!state.history.empty(),
               "restore: checkpoint must include batch 0");
 
-  // Backbone and repair state come straight from the checkpoint: the
-  // stored ids are the canonical max-weight tree on this graph, so the
-  // rebuilt MaxWeightTree continues repairing exactly where the
-  // checkpointed instance left off (incremental ≡ cold contract).
-  tree_.emplace(graph_, state.tree_edges);
-  const std::span<const EdgeId> canon = tree_->canonical_edge_ids();
-  backbone_.emplace(graph_, std::vector<EdgeId>(canon.begin(), canon.end()));
+  // The backbone is a function of the graph, so recompute it rather than
+  // trust the file: a stored tree that is not the canonical Kruskal tree
+  // of the replayed graph would break incremental ≡ cold on the next
+  // batch.
+  order_ = max_weight_edge_order(graph_);
+  std::vector<EdgeId> tree = kruskal_scan(graph_, order_);
+  SSP_REQUIRE(tree == state.tree_edges,
+              "restore: checkpointed backbone is not the canonical "
+              "max-weight spanning tree of the replayed graph");
+  backbone_.emplace(graph_, std::move(tree));
 
   // Re-arm the engine on the stored selection: rebind() pre-accepts the
   // off-tree keeps under the checkpointed batch's seed, restore_result()
@@ -150,7 +141,9 @@ SparsifyOptions DynamicSparsifier::cold_equivalent_options() const {
 
 namespace {
 
-// Indexed by DynamicStage; keep in sync with the enum in the header.
+// Indexed by DynamicStage; keep in sync with the enum in the header. The
+// kBackbone stage keeps its older "tree-repair" names: dashboards and the
+// serve wire read them.
 constexpr const char* kDynSpanName[kNumDynamicStages] = {
     "dynamic.validate", "dynamic.apply-graph", "dynamic.tree-repair",
     "dynamic.rebind", "dynamic.sparsify"};
@@ -219,9 +212,49 @@ void DynamicSparsifier::validate_batch(const UpdateBatch& batch) const {
   SSP_REQUIRE(uf.num_sets() == 1, "apply: batch would disconnect the graph");
 }
 
-void DynamicSparsifier::rebuild_backbone_cold() {
-  backbone_ = max_weight_spanning_tree(graph_);
-  tree_.emplace(graph_, backbone_->tree_edge_ids());
+void DynamicSparsifier::update_edge_order(const UpdateBatch& batch,
+                                          std::span<const EdgeId> remap) {
+  // Pre-batch id -> new id, with the ids whose key moved (removed: remap
+  // says kInvalidEdge; reweighted) dropped. Compaction keeps relative id
+  // order, so the surviving ids stay in canonical order. `remap` also
+  // covers the batch's inserts (appended before the removals); only its
+  // pre-batch prefix is needed here.
+  std::vector<EdgeId> to_new(order_.size());
+  if (remap.empty()) {
+    std::iota(to_new.begin(), to_new.end(), EdgeId{0});
+  } else {
+    std::copy_n(remap.begin(), to_new.size(), to_new.begin());
+  }
+  std::vector<EdgeId> changed;
+  changed.reserve(batch.reweight.size() + batch.insert.size());
+  for (const WeightUpdate& wu : batch.reweight) {
+    EdgeId& mapped = to_new[static_cast<std::size_t>(wu.edge)];
+    changed.push_back(mapped);
+    mapped = kInvalidEdge;
+  }
+  std::size_t out = 0;
+  for (const EdgeId e : order_) {
+    const EdgeId mapped = to_new[static_cast<std::size_t>(e)];
+    if (mapped != kInvalidEdge) order_[out++] = mapped;
+  }
+  order_.resize(out);
+
+  // Inserted edges sit at the tail of the compacted id space.
+  const EdgeId m = graph_.num_edges();
+  for (EdgeId id = m - static_cast<EdgeId>(batch.insert.size()); id < m;
+       ++id) {
+    changed.push_back(id);
+  }
+  // A strict total order, so sort and merge reproduce a fresh sort.
+  const GraphView view(graph_);
+  const auto before = [&view](EdgeId a, EdgeId b) {
+    return max_weight_before(view, a, b);
+  };
+  std::sort(changed.begin(), changed.end(), before);
+  std::vector<EdgeId> merged(order_.size() + changed.size());
+  std::merge(order_.begin(), order_.end(), changed.begin(), changed.end(),
+             merged.begin(), before);
+  order_.swap(merged);
 }
 
 UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
@@ -233,113 +266,52 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
 
   WallTimer timer;
   validate_batch(batch);
-  const EdgeId final_edges = graph_.num_edges() - stats.removed +
-                             stats.inserted;
-  stats.dirty_fraction = static_cast<double>(batch.size()) /
-                         static_cast<double>(std::max<EdgeId>(1, final_edges));
-  const bool rebuild = stats.dirty_fraction >= opts_.rebuild_threshold;
   notify_stage(DynamicStage::kValidate, timer.seconds(), stats);
 
-  // Open the tree's change-tracking window before any repair hook runs.
-  if (!rebuild) tree_->begin_batch();
-
-  // Snapshot the previous off-tree selection for the warm-refine route
-  // (the backbone is always the edge-list prefix).
+  // Snapshot the previous off-tree selection for warm refine (the
+  // backbone is always the edge-list prefix) unless the batch is large
+  // enough to reset it.
+  const EdgeId final_edges = graph_.num_edges() - stats.removed +
+                             stats.inserted;
+  const double touched_fraction =
+      static_cast<double>(batch.size()) /
+      static_cast<double>(std::max<EdgeId>(1, final_edges));
   std::vector<EdgeId> keep;
-  if (opts_.warm_refine && !rebuild) {
+  if (opts_.warm_refine && touched_fraction < kRefineResetFraction) {
     const SparsifyResult& prev = engine_->result();
     keep.assign(prev.edges.begin() +
                     static_cast<std::ptrdiff_t>(prev.tree_edges.size()),
                 prev.edges.end());
   }
 
-  // Mutate the graph and repair the backbone in lockstep. Inserts land
-  // before removals so a batch may delete a bridge it replaces; removal
-  // compaction then renumbers, keeping inserted edges at the tail.
+  // Inserts land before removals so a batch may delete a bridge it
+  // replaces; removal compaction then renumbers, keeping inserted edges at
+  // the tail.
   timer.reset();
-  double repair_seconds = 0.0;
   for (const WeightUpdate& wu : batch.reweight) {
-    const double old_weight = graph_.edge(wu.edge).weight;
     graph_.set_weight(wu.edge, wu.weight);
-    if (!rebuild) {
-      const WallTimer repair;
-      if (tree_->after_reweight(wu.edge, old_weight)) ++stats.tree_swaps;
-      repair_seconds += repair.seconds();
-    }
   }
-  for (const Edge& e : batch.insert) {
-    const EdgeId id = graph_.add_edge(e.u, e.v, e.weight);
-    if (!rebuild) {
-      const WallTimer repair;
-      if (tree_->after_insert(id)) ++stats.tree_swaps;
-      repair_seconds += repair.seconds();
-    }
-  }
+  for (const Edge& e : batch.insert) graph_.add_edge(e.u, e.v, e.weight);
+  std::vector<EdgeId> remap;
   if (!batch.remove.empty()) {
-    std::vector<char> deleted(static_cast<std::size_t>(graph_.num_edges()),
-                              0);
-    for (const EdgeId e : batch.remove) {
-      deleted[static_cast<std::size_t>(e)] = 1;
-      if (!rebuild && tree_->contains(e)) ++stats.tree_removed;
+    remap = graph_.remove_edges(batch.remove);
+    std::size_t out = 0;
+    for (const EdgeId e : keep) {
+      const EdgeId mapped = remap[static_cast<std::size_t>(e)];
+      if (mapped != kInvalidEdge) keep[out++] = mapped;
     }
-    if (!rebuild) {
-      const WallTimer repair;
-      stats.tree_swaps += tree_->after_deletions(deleted);
-      repair_seconds += repair.seconds();
-    }
-    const std::vector<EdgeId> remap = graph_.remove_edges(batch.remove);
-    if (!rebuild) {
-      const WallTimer repair;
-      tree_->remap_ids(remap);
-      repair_seconds += repair.seconds();
-      if (!keep.empty()) {
-        std::size_t out = 0;
-        for (const EdgeId e : keep) {
-          const EdgeId mapped = remap[static_cast<std::size_t>(e)];
-          if (mapped != kInvalidEdge) keep[out++] = mapped;
-        }
-        keep.resize(out);
-      }
-    }
+    keep.resize(out);
   }
   graph_.finalize();
-  notify_stage(DynamicStage::kApplyGraph, timer.seconds() - repair_seconds,
-               stats);
+  notify_stage(DynamicStage::kApplyGraph, timer.seconds(), stats);
 
-  // Re-root the repaired backbone (or recompute it cold) on the updated
-  // graph; canonical order keeps the tree-edge prefix bit-identical to a
-  // cold Kruskal rebuild.
   timer.reset();
-  if (rebuild) {
-    rebuild_backbone_cold();
-    stats.route = UpdateRoute::kRebuild;
-    keep.clear();
-  } else {
-    // A batch that inserts nothing, removes nothing, and changed no tree
-    // edge left the backbone bit-valid: same edge ids, same
-    // tree-edge set, same tree-edge weights — every SpanningTree array
-    // (and the canonical prefix order) is unchanged, so skip the O(n)
-    // re-root. Reweight-only batches touching off-tree edges — the
-    // parameter-update pattern of circuit simulation — hit this on
-    // nearly every batch.
-    const bool backbone_intact = batch.remove.empty() &&
-                                 batch.insert.empty() &&
-                                 !tree_->tree_changed();
-    if (!backbone_intact) {
-      const std::span<const EdgeId> canon = tree_->canonical_edge_ids();
-      backbone_.emplace(graph_,
-                        std::vector<EdgeId>(canon.begin(), canon.end()));
-    }
-    stats.route = (batch.remove.empty() && batch.insert.empty() &&
-                   stats.tree_swaps == 0)
-                      ? UpdateRoute::kResparsify
-                      : UpdateRoute::kTreeRepair;
-  }
-  notify_stage(DynamicStage::kTreeRepair, repair_seconds + timer.seconds(),
-               stats);
+  update_edge_order(batch, remap);
+  backbone_.emplace(graph_, kruskal_scan(graph_, order_));
+  notify_stage(DynamicStage::kBackbone, timer.seconds(), stats);
 
-  // Warm-refine keeps may have been swapped into the new tree; they are
-  // already covered by the backbone prefix then.
+  // Warm-refine keeps may have entered the new tree; they are already
+  // covered by the backbone prefix then.
   if (!keep.empty()) {
     std::size_t out = 0;
     for (const EdgeId e : keep) {
@@ -364,19 +336,6 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
   stats.reached_target = r.reached_target;
   for (const double s : stats.stage_seconds) stats.seconds += s;
   obs::counter_add("dynamic.batches", 1);
-  obs::counter_add("dynamic.tree_swaps",
-                   static_cast<std::uint64_t>(stats.tree_swaps));
-  switch (stats.route) {
-    case UpdateRoute::kResparsify:
-      obs::counter_add("dynamic.route.resparsify", 1);
-      break;
-    case UpdateRoute::kTreeRepair:
-      obs::counter_add("dynamic.route.tree-repair", 1);
-      break;
-    case UpdateRoute::kRebuild:
-      obs::counter_add("dynamic.route.rebuild", 1);
-      break;
-  }
   record(stats);
   return history_.back();
 }

@@ -2,10 +2,9 @@
 
 /// \file dynamic_sparsifier.hpp
 /// Dynamic update layer: batched edge insertions / deletions / reweights
-/// applied incrementally to a live sparsifier, instead of a cold
-/// `Sparsifier::run()` from scratch after every change — the
-/// continuously-changing-traffic workflow the GRASS-style
-/// spectral-perturbation literature targets.
+/// applied to a live sparsifier, instead of a cold `Sparsifier::run()`
+/// from scratch after every change — the continuously-changing-traffic
+/// workflow the GRASS-style spectral-perturbation literature targets.
 ///
 /// `ssp::DynamicSparsifier` owns the evolving graph plus its current
 /// sparsifier state and applies `UpdateBatch`es:
@@ -13,36 +12,31 @@
 ///  1. **Validate** the whole batch up front (ids, weights, and — via one
 ///     union-find pass over the surviving edges — connectivity), so a bad
 ///     batch throws before any state changes.
-///  2. **Apply + repair**: weights are patched in place, deletions are
-///     classified against the persistent backbone (tree-edge deletions
-///     trigger spanning-tree repair via union-find + strongest-crossing
-///     reconnection; off-tree churn touches nothing), insertions run a
-///     path exchange each (tree/tree_repair.hpp).
-///  3. **Route** the re-sparsification: reweight-only batches that leave
-///     the tree untouched keep the backbone as it is (no re-root); any
-///     topology churn re-roots the repaired backbone; and when the dirty
-///     fraction (touched edges / final edge count) reaches
-///     `rebuild_threshold`, the layer falls back to a cold rebuild
-///     (backbone recomputed from scratch by Kruskal). All three routes
-///     feed `Sparsifier::rebind()`, which reuses the engine workspace.
-///  4. **Sparsify**: the engine densifies to the σ² target and the new
-///     result replaces the old one.
+///  2. **Apply**: weights are patched in place, inserts are appended, and
+///     removals compact the id space.
+///  3. **Backbone**: the layer keeps one piece of state across batches,
+///     the canonical edge order (weight desc, id asc) that Kruskal sorts
+///     by. A batch drops its removed and reweighted ids from that order,
+///     renumbers the survivors through the removal remap (compaction is
+///     monotone, so they stay sorted), and merges the reweighted and
+///     inserted ids back in — O(m + k log k) instead of an O(m log m)
+///     sort. `kruskal_scan` over the patched order is the backbone
+///     (tree/kruskal.hpp), rooted afresh every batch.
+///  4. **Rebind + sparsify**: `Sparsifier::rebind()` re-arms the engine
+///     workspace on the new graph and backbone, the engine densifies to
+///     the σ² target, and the new result replaces the old one.
 ///
-/// Determinism contract (incremental ≡ cold): the backbone is pinned to
-/// the **canonical maximum-weight spanning tree** — unique under the
-/// (weight desc, edge id asc) total order — which is the one backbone
-/// whose incremental repair provably lands on the same tree as a cold
-/// Kruskal rebuild (`DynamicOptions::base.backbone` is therefore
+/// Determinism contract (incremental ≡ cold): the backbone is the
+/// **canonical maximum-weight spanning tree** — unique under the
+/// (weight desc, edge id asc) total order — and the kept order is exactly
+/// the order a cold Kruskal sorts into, so the scan accepts the same ids
+/// in the same order (`DynamicOptions::base.backbone` is therefore
 /// ignored). Batch `b` (the constructor's initial build is batch 0) seeds
 /// its engine run with the derived stream `Rng(base.seed).split(b)`, so:
 ///
 ///  * after any batch, `result()` is **bit-identical** to
 ///    `sparsify(graph(), cold_equivalent_options())` — a cold rebuild on
-///    the final graph — whatever mix of incremental routes produced it
-///    (with `warm_refine` off, the default);
-///  * `rebuild_threshold` changes wall time only, never a bit of output:
-///    the cold-rebuild route recomputes by Kruskal exactly the tree the
-///    repair path maintains;
+///    the final graph (with `warm_refine` off, the default);
 ///  * thread counts change wall time only (the engine's own contract,
 ///    sparsifier_engine.hpp, carries over verbatim);
 ///  * distinct batches draw from decorrelated split streams, so replaying
@@ -54,9 +48,9 @@
 /// target finishes after a single estimation round. Results then drift
 /// from the cold rebuild (they keep edges a cold run would re-rank) but
 /// stay spectrally equivalent — κ still converges to the same σ² target,
-/// and `rebuild_threshold` bounds the drift by periodically resetting to
-/// the cold path. The differential harness (tests/harness.hpp) checks
-/// both regimes.
+/// and a batch touching at least `kRefineResetFraction` of the final
+/// edges drops the keep-set, which bounds the drift. The differential
+/// harness (tests/harness.hpp) checks both regimes.
 ///
 /// The vertex set is fixed for the lifetime of the sparsifier; deletions
 /// that would disconnect the graph are rejected.
@@ -69,7 +63,6 @@
 
 #include "core/sparsifier.hpp"
 #include "core/sparsifier_engine.hpp"
-#include "tree/tree_repair.hpp"
 #include "util/union_find.hpp"
 
 namespace ssp {
@@ -98,18 +91,11 @@ struct UpdateBatch {
   }
 };
 
-/// How a batch reached the engine.
-enum class UpdateRoute {
-  kResparsify,  ///< reweight-only, tree untouched — pure warm start
-  kTreeRepair,  ///< incremental backbone repair, then rebind
-  kRebuild,     ///< dirty fraction >= threshold — cold Kruskal rebuild
-};
-
 /// Stages reported through `DynamicObserver::on_dynamic_stage`.
 enum class DynamicStage {
   kValidate,    ///< batch validation incl. connectivity pre-check
   kApplyGraph,  ///< graph mutation + CSR rebuild
-  kTreeRepair,  ///< backbone repair / cold Kruskal + re-rooting
+  kBackbone,    ///< kept-order merge + Kruskal scan + re-rooting
   kRebind,      ///< engine warm-start rebind
   kSparsify,    ///< engine densification run
 };
@@ -123,10 +109,6 @@ struct UpdateStats {
   EdgeId inserted = 0;
   EdgeId removed = 0;
   EdgeId reweighted = 0;
-  EdgeId tree_removed = 0;   ///< removed edges that were tree edges
-  EdgeId tree_swaps = 0;     ///< backbone exchange/reconnection repairs
-  double dirty_fraction = 0.0;
-  UpdateRoute route = UpdateRoute::kRebuild;
   EdgeId graph_edges = 0;       ///< |E| after the batch
   EdgeId sparsifier_edges = 0;  ///< |Es| after re-sparsification
   double sigma2_estimate = 0.0;
@@ -146,20 +128,21 @@ class DynamicObserver {
   virtual void on_update(const UpdateStats& /*stats*/) {}
 };
 
+/// Warm refine drops its keep-set for a batch whose size (inserts +
+/// removals + reweights) is at least this fraction of the final edge
+/// count: such a batch densifies from the bare backbone like a cold run.
+inline constexpr double kRefineResetFraction = 0.25;
+
 struct DynamicOptions {
   /// Engine options for every (re-)sparsification. `base.seed` is the
   /// root of the per-batch split streams; `base.backbone` is ignored
   /// (the layer pins the canonical max-weight tree — see the file
   /// comment).
   SparsifyOptions base;
-  /// Cold-rebuild fallback: a batch whose dirty fraction (touched edges /
-  /// final edge count) is >= this rebuilds the backbone from scratch.
-  /// 0 forces a rebuild every batch; > 1 never rebuilds. With
-  /// `warm_refine` off this changes wall time only, never the result.
-  double rebuild_threshold = 0.25;
   /// Pre-accept the previous off-tree selection instead of densifying
   /// from the bare tree (faster, spectrally equivalent, not bit-equal to
-  /// a cold rebuild). Ignored on the kRebuild route.
+  /// a cold rebuild). Skipped for a batch touching at least
+  /// `kRefineResetFraction` of the final edges.
   bool warm_refine = false;
 
   /// Full validation; throws std::invalid_argument on the first violated
@@ -167,7 +150,6 @@ struct DynamicOptions {
   void validate() const;
 
   DynamicOptions& with_base(SparsifyOptions opts);
-  DynamicOptions& with_rebuild_threshold(double fraction);
   DynamicOptions& with_warm_refine(bool on);
 };
 
@@ -180,8 +162,9 @@ struct DynamicOptions {
 struct DynamicRestoreState {
   Vertex vertices = 0;  ///< graph shape check against the replayed graph
   EdgeId edges = 0;
-  /// Canonical max-weight backbone (rooted tree-edge order,
-  /// `SpanningTree::tree_edge_ids()` at capture time).
+  /// Canonical max-weight backbone in Kruskal acceptance order
+  /// (`SpanningTree::tree_edge_ids()` at capture time). The restoring
+  /// constructor recomputes it from the graph and rejects a mismatch.
   std::vector<EdgeId> tree_edges;
   /// Accepted off-tree selection, in acceptance order (`result().edges`
   /// minus the tree prefix).
@@ -214,7 +197,9 @@ class DynamicSparsifier {
   /// checkpointed instance held — same vertex and edge counts, same ids;
   /// callers rebuild it by replaying the journal's graph mutations) and
   /// re-creates backbone, engine selection, and telemetry from `state`
-  /// WITHOUT re-running the engine. Afterwards `result()`, `history()`,
+  /// WITHOUT re-running the engine. The backbone is recomputed by one
+  /// Kruskal sort + scan of `g`; a `state.tree_edges` that differs from it
+  /// (ids or order) throws std::invalid_argument. Afterwards `result()`, `history()`,
   /// and every future `apply()` are bit-identical to the instance that
   /// produced the checkpoint — the foundation of the serving daemon's
   /// kill/restart warm path.
@@ -280,6 +265,10 @@ class DynamicSparsifier {
 
   [[nodiscard]] const DynamicOptions& options() const { return opts_; }
 
+  /// The kept canonical edge order: every edge id of graph() sorted by
+  /// (weight desc, id asc), exactly `max_weight_edge_order(graph())`.
+  [[nodiscard]] std::span<const EdgeId> edge_order() const { return order_; }
+
  private:
   [[nodiscard]] std::uint64_t batch_seed(Index batch) const {
     return batch_seed(opts_.base.seed, batch);
@@ -288,14 +277,18 @@ class DynamicSparsifier {
   /// observer.
   void record(const UpdateStats& stats);
   void validate_batch(const UpdateBatch& batch) const;
-  void rebuild_backbone_cold();
+  /// Patches order_ for a batch already applied to graph_; `remap` is
+  /// `Graph::remove_edges`' old-to-new map (empty when nothing was
+  /// removed).
+  void update_edge_order(const UpdateBatch& batch,
+                         std::span<const EdgeId> remap);
   void notify_stage(DynamicStage stage, double seconds,
                     UpdateStats& stats) const;
 
   DynamicOptions opts_;
   Graph graph_;
-  std::optional<MaxWeightTree> tree_;      ///< persistent repaired backbone
-  std::optional<SpanningTree> backbone_;   ///< rooted view, rebuilt per batch
+  std::vector<EdgeId> order_;             ///< see edge_order()
+  std::optional<SpanningTree> backbone_;  ///< Kruskal tree, rebuilt per batch
   std::optional<Sparsifier> engine_;
   DynamicObserver* observer_ = nullptr;
   std::vector<UpdateStats> history_;

@@ -168,8 +168,7 @@ Reply Connection::handle_journal_line(const std::string& line) {
   pending_ = JournalBatch{};
   const UpdateStats& s = outcome.stats;
   std::ostringstream os;
-  os << "ok batch=" << s.batch << " route=" << to_string(s.route)
-     << " graph_edges=" << s.graph_edges
+  os << "ok batch=" << s.batch << " graph_edges=" << s.graph_edges
      << " sparsifier_edges=" << s.sparsifier_edges
      << " sigma2=" << format_double(s.sigma2_estimate)
      << " reached=" << (s.reached_target ? 1 : 0)
@@ -212,7 +211,6 @@ Reply Connection::handle_query(const std::vector<std::string>& tokens) {
     os << "ok batches=" << info.batches << " commits=" << info.commits
        << " graph_edges=" << info.graph_edges
        << " sparsifier_edges=" << info.sparsifier_edges
-       << " route=" << to_string(info.last_route)
        << " seconds=" << format_double(info.last_seconds)
        << " total_seconds=" << format_double(info.total_seconds);
     reply.status = os.str();
@@ -247,7 +245,6 @@ std::string stats_summary_line(const Session& session) {
      << " reached=" << (info.reached_target ? 1 : 0)
      << " batches=" << info.batches << " commits=" << info.commits
      << " queued=" << session.queued()
-     << " route=" << to_string(info.last_route)
      << " total_seconds=" << format_double(info.total_seconds);
   return os.str();
 }
@@ -281,11 +278,8 @@ Reply Connection::handle_stats(const std::vector<std::string>& tokens) {
     line("queued", std::to_string(session->queued()));
     line("max_queued", std::to_string(sessions_.options().max_queued_batches));
     line("total_seconds", format_double(info.total_seconds));
-    line("last.route", to_string(last.route));
     line("last.batch", std::to_string(last.batch));
     line("last.seconds", format_double(last.seconds));
-    line("last.dirty_fraction", format_double(last.dirty_fraction));
-    line("last.tree_swaps", std::to_string(last.tree_swaps));
     for (int s = 0; s < kNumDynamicStages; ++s) {
       line(std::string("last.stage.") +
                to_string(static_cast<DynamicStage>(s)) + ".seconds",

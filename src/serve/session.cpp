@@ -280,7 +280,6 @@ SessionInfo Session::info() const {
   info.total_seconds = dyn_.total_seconds();
   const UpdateStats& last = dyn_.history().back();
   info.last_seconds = last.seconds;
-  info.last_route = last.route;
   return info;
 }
 

@@ -104,7 +104,6 @@ struct SessionInfo {
   Index commits = 0;           ///< committed (non-empty) client batches
   double last_seconds = 0.0;   ///< wall time of the latest batch
   double total_seconds = 0.0;  ///< summed batch wall time incl. build
-  UpdateRoute last_route = UpdateRoute::kRebuild;
 };
 
 /// One named graph session: an evolving graph + its live sparsifier +

@@ -81,19 +81,23 @@ class Reader {
   std::uint64_t pos_ = 0;
 };
 
+// A stats record keeps four retired slots (tree_removed, tree_swaps,
+// dirty_fraction, route) so the layout stays at version 1 and older files
+// restore: written as 0, skipped on read. The route slot is still
+// range-checked, as outside input.
 void put_stats(Writer& w, const UpdateStats& s) {
   w.put<std::int64_t>(s.batch);
   w.put<std::int64_t>(s.inserted);
   w.put<std::int64_t>(s.removed);
   w.put<std::int64_t>(s.reweighted);
-  w.put<std::int64_t>(s.tree_removed);
-  w.put<std::int64_t>(s.tree_swaps);
+  w.put<std::int64_t>(0);  // retired
+  w.put<std::int64_t>(0);  // retired
   w.put<std::int64_t>(s.graph_edges);
   w.put<std::int64_t>(s.sparsifier_edges);
-  w.put<double>(s.dirty_fraction);
+  w.put<double>(0.0);  // retired
   w.put<double>(s.sigma2_estimate);
   w.put<double>(s.seconds);
-  w.put<std::uint64_t>(static_cast<std::uint64_t>(s.route));
+  w.put<std::uint64_t>(0);  // retired route slot
   w.put<std::uint64_t>(s.reached_target ? 1 : 0);
   for (const double sec : s.stage_seconds) w.put<double>(sec);
 }
@@ -104,11 +108,11 @@ UpdateStats get_stats(Reader& r) {
   s.inserted = r.get<std::int64_t>("history.inserted");
   s.removed = r.get<std::int64_t>("history.removed");
   s.reweighted = r.get<std::int64_t>("history.reweighted");
-  s.tree_removed = r.get<std::int64_t>("history.tree_removed");
-  s.tree_swaps = r.get<std::int64_t>("history.tree_swaps");
+  (void)r.get<std::int64_t>("history.retired");
+  (void)r.get<std::int64_t>("history.retired");
   s.graph_edges = r.get<std::int64_t>("history.graph_edges");
   s.sparsifier_edges = r.get<std::int64_t>("history.sparsifier_edges");
-  s.dirty_fraction = r.get<double>("history.dirty_fraction");
+  (void)r.get<double>("history.retired");
   s.sigma2_estimate = r.get<double>("history.sigma2_estimate");
   s.seconds = r.get<double>("history.seconds");
   const std::uint64_t route_at = r.pos();
@@ -118,7 +122,6 @@ UpdateStats get_stats(Reader& r) {
                     "route " + std::to_string(route) +
                         " out of range [0, 2]");
   }
-  s.route = static_cast<UpdateRoute>(route);
   s.reached_target = r.get<std::uint64_t>("history.reached_target") != 0;
   for (double& sec : s.stage_seconds) {
     sec = r.get<double>("history.stage_seconds");

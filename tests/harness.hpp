@@ -110,16 +110,16 @@ inline std::vector<UpdateBatch> make_update_script(const Graph& g, Rng& rng,
 
 // ---- Adversarial scripts ---------------------------------------------------
 //
-// Deterministic worst-case batches for the tree repair: each one
-// concentrates churn on the structures the repair and the re-root skip
-// must get exactly right (the same tree path over and over, an edge that
-// exists for exactly one batch, a batch that deletes every tree edge at
-// once). The differential tests replay them at several thread counts.
+// Deterministic worst-case batches for the kept edge order and the
+// backbone: each one concentrates churn where the order patch must get
+// ids and keys exactly right (the same tree edge over and over, an edge
+// that exists for exactly one batch, a batch that deletes every tree edge
+// at once). The differential tests replay them at several thread counts.
 
 /// Repeatedly reweights the SAME max-weight-tree edge, alternating far
 /// above and far below its original weight. Every batch changes a tree
-/// edge's weight; even batches also force an exchange swap and odd ones
-/// swap it back.
+/// edge's weight; even batches push it out of the tree and odd ones bring
+/// it back.
 inline std::vector<UpdateBatch> make_repeated_reweight_script(
     const Graph& g, Index batches = 6) {
   const SpanningTree t = max_weight_spanning_tree(g);
@@ -138,8 +138,8 @@ inline std::vector<UpdateBatch> make_repeated_reweight_script(
 /// Inserts an edge between two far-apart vertices, then deletes exactly
 /// that edge in the next batch, several times over. The inserted edge's id
 /// is the tail id of its batch and a different id (post-compaction) in the
-/// deleting batch — exercising the id remap and the insert/delete repair
-/// for the same endpoints.
+/// deleting batch — exercising the id remap of the kept order for the same
+/// endpoints.
 inline std::vector<UpdateBatch> make_insert_delete_script(const Graph& g,
                                                           Index cycles = 3) {
   const Vertex u = 0;
@@ -161,8 +161,8 @@ inline std::vector<UpdateBatch> make_insert_delete_script(const Graph& g,
 
 /// One batch deleting EVERY current max-weight-tree edge (requires the
 /// off-tree edges alone to keep `g` connected — true for 2D lattices and
-/// most dense families). The repair reconnects n−1 components in a single
-/// after_deletions() call and must still match a cold Kruskal rebuild.
+/// most dense families). The next backbone shares no edge with the last
+/// one and must still match a cold Kruskal rebuild.
 inline std::vector<UpdateBatch> make_all_tree_edge_deletion_script(
     const Graph& g) {
   const SpanningTree t = max_weight_spanning_tree(g);

@@ -389,9 +389,11 @@ TEST(ServeIntrospection, StatsListsSessionsAndDetailsOne) {
   };
   EXPECT_TRUE(has("name=s2"));
   EXPECT_TRUE(has("commits=1"));
-  EXPECT_TRUE(has("last.route="));
+  EXPECT_FALSE(has("last.route="));
   EXPECT_TRUE(has("last.batch=1"));
   EXPECT_TRUE(has("last.stage.validate.seconds="));
+  // The backbone stage keeps its older wire name.
+  EXPECT_TRUE(has("last.stage.tree-repair.seconds="));
   EXPECT_TRUE(has("last.stage.sparsify.seconds="));
 }
 

@@ -597,10 +597,6 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
     EXPECT_EQ(a.inserted, b.inserted);
     EXPECT_EQ(a.removed, b.removed);
     EXPECT_EQ(a.reweighted, b.reweighted);
-    EXPECT_EQ(a.tree_removed, b.tree_removed);
-    EXPECT_EQ(a.tree_swaps, b.tree_swaps);
-    EXPECT_EQ(a.dirty_fraction, b.dirty_fraction);
-    EXPECT_EQ(a.route, b.route);
     EXPECT_EQ(a.graph_edges, b.graph_edges);
     EXPECT_EQ(a.sparsifier_edges, b.sparsifier_edges);
     EXPECT_EQ(a.sigma2_estimate, b.sigma2_estimate);
@@ -652,7 +648,8 @@ TEST(Checkpoint, RestoredSparsifierMatchesNeverRestartedBitForBit) {
   EXPECT_EQ(second_life.graph().num_edges(), reference.graph().num_edges());
   ASSERT_EQ(second_life.history().size(), reference.history().size());
   for (std::size_t i = 0; i < reference.history().size(); ++i) {
-    EXPECT_EQ(second_life.history()[i].route, reference.history()[i].route);
+    EXPECT_EQ(second_life.history()[i].graph_edges,
+              reference.history()[i].graph_edges);
     EXPECT_EQ(second_life.history()[i].sparsifier_edges,
               reference.history()[i].sparsifier_edges);
   }
@@ -695,6 +692,49 @@ TEST(Checkpoint, CorruptFilesNameByteOffsetAndField) {
   std::filesystem::resize_file(path, full - 8);
   EXPECT_THROW(storage::load_checkpoint(path), storage::SspbError);
 
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RetiredStatsSlotsAreSkippedAndTheRouteSlotIsRangeChecked) {
+  // Four history slots are retired (see put_stats in checkpoint.cpp):
+  // written as 0, ignored on read, so files that carry values there still
+  // restore. The old route slot stays range-checked.
+  Rng rng(47);
+  const Graph g = grid_2d(8, 8, WeightModel::log_uniform(0.2, 5.0), &rng);
+  DynamicSparsifier dyn(g, dynamic_options());
+  storage::SparsifierCheckpoint ckpt;
+  ckpt.commits = 0;
+  ckpt.state = dyn.restore_state();
+  const std::string path = tmp_path("ckpt_retired", ".sspc");
+  const std::uint64_t record =
+      88 + 8 * (ckpt.state.tree_edges.size() + ckpt.state.offtree_edges.size());
+
+  storage::save_checkpoint(path, ckpt);
+  const std::int64_t count_a = 3;
+  const std::int64_t count_b = 5;
+  const double fraction = 0.5;
+  const std::uint64_t route = 2;
+  patch_file(path, record + 4 * 8, &count_a, 8);
+  patch_file(path, record + 5 * 8, &count_b, 8);
+  patch_file(path, record + 8 * 8, &fraction, 8);
+  patch_file(path, record + 11 * 8, &route, 8);
+  const storage::SparsifierCheckpoint back = storage::load_checkpoint(path);
+  ASSERT_EQ(back.state.history.size(), 1u);
+  EXPECT_EQ(back.state.history[0].sparsifier_edges,
+            ckpt.state.history[0].sparsifier_edges);
+  EXPECT_EQ(back.state.history[0].seconds, ckpt.state.history[0].seconds);
+  const DynamicSparsifier restored(g, dynamic_options(), back.state);
+  EXPECT_EQ(restored.result().edges, dyn.result().edges);
+
+  const std::uint64_t bad_route = 3;
+  patch_file(path, record + 11 * 8, &bad_route, 8);
+  try {
+    (void)storage::load_checkpoint(path);
+    FAIL() << "route slot out of range must throw";
+  } catch (const storage::SspbError& e) {
+    EXPECT_EQ(e.byte_offset(), record + 11 * 8);
+    EXPECT_EQ(e.field(), "history.route");
+  }
   std::remove(path.c_str());
 }
 

@@ -355,8 +355,6 @@ inline ArgParser& add_dynamic_options(ArgParser& args) {
       .option("update-file",
               "replay an update journal (insert/delete/reweight/commit "
               "lines) through the dynamic layer")
-      .option("rebuild-threshold",
-              "dirty fraction that falls back to a cold rebuild", "0.25")
       .flag("warm-refine",
             "keep the previous selection across updates (faster, "
             "spectrally equivalent, not bit-equal to a cold rebuild)");
@@ -368,7 +366,6 @@ inline ArgParser& add_dynamic_options(ArgParser& args) {
     const ArgParser& args, const SparsifyOptions& base) {
   return DynamicOptions{}
       .with_base(base)
-      .with_rebuild_threshold(args.get_double("rebuild-threshold", 0.25))
       .with_warm_refine(args.get_bool("warm-refine", false));
 }
 

@@ -261,13 +261,12 @@ class DynamicProgressPrinter : public ssp::DynamicObserver {
     }
   }
   void on_update(const ssp::UpdateStats& s) override {
-    std::printf("batch %3lld  %-11s +%lld -%lld ~%lld  dirty %.4f  "
-                "swaps %lld  |Es| %lld  sigma2 %8.2f%s  %.3fs\n",
-                static_cast<long long>(s.batch), ssp::to_string(s.route),
+    std::printf("batch %3lld  +%lld -%lld ~%lld  |Es| %lld  sigma2 %8.2f%s  "
+                "%.3fs\n",
+                static_cast<long long>(s.batch),
                 static_cast<long long>(s.inserted),
                 static_cast<long long>(s.removed),
-                static_cast<long long>(s.reweighted), s.dirty_fraction,
-                static_cast<long long>(s.tree_swaps),
+                static_cast<long long>(s.reweighted),
                 static_cast<long long>(s.sparsifier_edges),
                 s.sigma2_estimate, s.reached_target ? "" : " (NOT reached)",
                 s.seconds);
@@ -280,8 +279,8 @@ class DynamicProgressPrinter : public ssp::DynamicObserver {
 int run_dynamic(const ssp::cli::ArgParser& args, const ssp::Graph& g,
                 const ssp::SparsifyOptions& base) {
   // The dynamic layer pins the canonical kruskal (max-weight) backbone —
-  // the one whose incremental repair equals a cold rebuild bit for bit —
-  // so an explicit --backbone would be silently overridden; reject it.
+  // the one a kept edge order reproduces bit for bit across batches — so
+  // an explicit --backbone would be silently overridden; reject it.
   SSP_REQUIRE(!args.has("backbone"),
               "--update-file pins the canonical kruskal backbone; "
               "--backbone cannot be combined with it");
@@ -364,9 +363,7 @@ int main(int argc, char** argv) {
                              args.has("cut-sigma2") ||
                              args.has("estimate-quality") ||
                              args.has("rescale");
-    const bool dynamic = args.has("update-file") ||
-                         args.has("rebuild-threshold") ||
-                         args.has("warm-refine");
+    const bool dynamic = args.has("update-file") || args.has("warm-refine");
     const bool outofcore = args.get_int("memory-budget-mb", 0) > 0;
     const int rc = [&]() -> int {
       if (outofcore) {
