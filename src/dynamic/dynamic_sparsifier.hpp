@@ -265,10 +265,6 @@ class DynamicSparsifier {
 
   [[nodiscard]] const DynamicOptions& options() const { return opts_; }
 
-  /// The kept canonical edge order: every edge id of graph() sorted by
-  /// (weight desc, id asc), exactly `max_weight_edge_order(graph())`.
-  [[nodiscard]] std::span<const EdgeId> edge_order() const { return order_; }
-
  private:
   [[nodiscard]] std::uint64_t batch_seed(Index batch) const {
     return batch_seed(opts_.base.seed, batch);
@@ -287,7 +283,9 @@ class DynamicSparsifier {
 
   DynamicOptions opts_;
   Graph graph_;
-  std::vector<EdgeId> order_;             ///< see edge_order()
+  /// Every edge id of graph_ sorted by (weight desc, id asc), exactly
+  /// `max_weight_edge_order(graph_)`; patched per batch, never re-sorted.
+  std::vector<EdgeId> order_;
   std::optional<SpanningTree> backbone_;  ///< Kruskal tree, rebuilt per batch
   std::optional<Sparsifier> engine_;
   DynamicObserver* observer_ = nullptr;
