@@ -149,20 +149,6 @@ void print_warm_start() {
               "fewer rounds and less wall time than a cold re-run.\n");
 }
 
-/// Accumulates per-stage wall time, keyed by StageKind.
-class StageTimeObserver : public StageObserver {
- public:
-  void on_stage(StageKind stage, double seconds) override {
-    seconds_[static_cast<std::size_t>(stage)] += seconds;
-  }
-  [[nodiscard]] double embedding_seconds() const {
-    return seconds_[static_cast<std::size_t>(StageKind::kEmbedding)];
-  }
-
- private:
-  double seconds_[8] = {};
-};
-
 // Thread-scaling on the largest graph: the engine's determinism contract
 // says SparsifyOptions::threads changes wall time only, so the final edge
 // lists are compared bit-for-bit while the embedding stage (the probe
@@ -177,32 +163,30 @@ void print_thread_scaling() {
   bench::print_rule(80);
   const Graph g = bench::dblp_proxy(dim(12000, 80000), 703);
 
-  StageTimeObserver obs1;
-  Sparsifier e1(g, SparsifyOptions{}.with_sigma2(100.0).with_seed(5)
-                       .with_threads(1));
-  e1.set_observer(&obs1);
-  e1.run();
+  // Embedding wall time from the engine.stage.embedding counter.
+  const auto run_at = [&](int threads, SparsifyResult& res) {
+    return bench::StageSeconds::measure([&] {
+      res = sparsify(g, SparsifyOptions{}.with_sigma2(100.0).with_seed(5)
+                            .with_threads(threads));
+    })["engine.stage.embedding"];
+  };
+  SparsifyResult r1;
+  SparsifyResult rn;
+  const double embed_1t = run_at(1, r1);
+  const double embed_nt = run_at(n_threads, rn);
 
-  StageTimeObserver obsn;
-  Sparsifier en(g, SparsifyOptions{}.with_sigma2(100.0).with_seed(5)
-                       .with_threads(n_threads));
-  en.set_observer(&obsn);
-  en.run();
-
-  const bool identical = e1.result().edges == en.result().edges;
+  const bool identical = r1.edges == rn.edges;
   std::printf("%-10s | %8lld %11.3fs | %3d %11.3fs | %7.2fx %9s\n", "dblp",
-              static_cast<long long>(e1.result().num_edges()),
-              obs1.embedding_seconds(), n_threads, obsn.embedding_seconds(),
-              obs1.embedding_seconds() /
-                  std::max(obsn.embedding_seconds(), 1e-12),
+              static_cast<long long>(r1.num_edges()), embed_1t, n_threads,
+              embed_nt, embed_1t / std::max(embed_nt, 1e-12),
               identical ? "yes" : "NO (BUG)");
   report().section("thread_scaling").push(
       Json::object()
           .set("graph", "dblp")
-          .set("edges", static_cast<long long>(e1.result().num_edges()))
-          .set("embed_seconds_1t", obs1.embedding_seconds())
+          .set("edges", static_cast<long long>(r1.num_edges()))
+          .set("embed_seconds_1t", embed_1t)
           .set("threads", n_threads)
-          .set("embed_seconds_nt", obsn.embedding_seconds())
+          .set("embed_seconds_nt", embed_nt)
           .set("bitmatch", identical));
   bench::print_rule(80);
   std::printf("probe streams are split per vector and partials reduce in "

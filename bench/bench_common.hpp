@@ -14,10 +14,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "graph/generators/points.hpp"
 #include "graph/generators/random_graphs.hpp"
 #include "graph/graph.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace ssp::bench {
@@ -270,6 +274,52 @@ class Json {
   std::string string_;
   std::vector<std::pair<std::string, Json>> members_;
   std::vector<Json> items_;
+};
+
+// ---- Stage times from the metrics registry ----
+
+/// Seconds each `<stage>.ns` registry counter advanced over one run, keyed
+/// by the counter name without ".ns" (e.g. "engine.stage.embedding" or
+/// "scale.stage.stitch"). The registry is the one record of stage times.
+class StageSeconds {
+ public:
+  /// Runs `body` with metrics on (restoring the switch afterwards) and
+  /// records the counter deltas it caused.
+  template <typename Body>
+  static StageSeconds measure(Body&& body) {
+    const bool was_on = obs::metrics_enabled();
+    const std::map<std::string, std::uint64_t> before = read_ns();
+    obs::set_metrics_enabled(true);
+    body();
+    obs::set_metrics_enabled(was_on);
+    StageSeconds out;
+    for (const auto& [stage, ns] : read_ns()) {
+      const auto it = before.find(stage);
+      const std::uint64_t base = it == before.end() ? 0 : it->second;
+      out.seconds_[stage] = static_cast<double>(ns - base) * 1e-9;
+    }
+    return out;
+  }
+
+  /// Seconds of `stage` (0 when the run never reached it).
+  [[nodiscard]] double operator[](const std::string& stage) const {
+    const auto it = seconds_.find(stage);
+    return it == seconds_.end() ? 0.0 : it->second;
+  }
+
+ private:
+  static std::map<std::string, std::uint64_t> read_ns() {
+    std::map<std::string, std::uint64_t> ns;
+    obs::for_each_metric([&ns](const obs::MetricEntry& e) {
+      const std::string_view name(e.name);
+      if (e.kind == obs::MetricKind::kCounter && name.ends_with(".ns")) {
+        ns[std::string(name.substr(0, name.size() - 3))] = e.counter;
+      }
+    });
+    return ns;
+  }
+
+  std::map<std::string, double> seconds_;
 };
 
 // ---- Latency summaries ----

@@ -21,7 +21,6 @@
 
 #include "bench_common.hpp"
 #include "core/sparsifier.hpp"
-#include "core/sparsifier_engine.hpp"
 #include "graph/laplacian.hpp"
 #include "la/csr_matrix.hpp"
 #include "la/kernels/kernels.hpp"
@@ -254,20 +253,6 @@ void print_tree_solve() {
 
 // ---- Embedding stage, end to end -------------------------------------------
 
-/// Accumulates per-stage wall time, keyed by StageKind.
-class StageTimeObserver : public StageObserver {
- public:
-  void on_stage(StageKind stage, double seconds) override {
-    seconds_[static_cast<std::size_t>(stage)] += seconds;
-  }
-  [[nodiscard]] double embedding_seconds() const {
-    return seconds_[static_cast<std::size_t>(StageKind::kEmbedding)];
-  }
-
- private:
-  double seconds_[8] = {};
-};
-
 void print_embedding_stage() {
   bench::print_banner(
       "Embedding stage, end to end — sparsifier run with the kernel "
@@ -277,37 +262,37 @@ void print_embedding_stage() {
   const auto opts =
       SparsifyOptions{}.with_sigma2(100.0).with_seed(5).with_threads(1);
 
-  const auto run_with = [&](Backend b, StageTimeObserver& obs) {
+  // Returns the edge list; `embed_seconds` receives the embedding stage's
+  // wall time from the engine.stage.embedding counter.
+  const auto run_with = [&](Backend b, double& embed_seconds) {
     kernels::ScopedBackend scope(b);
-    Sparsifier engine(g, opts);
-    engine.set_observer(&obs);
-    engine.run();
-    return engine.result().edges;
+    std::vector<EdgeId> edges;
+    embed_seconds = bench::StageSeconds::measure([&] {
+      edges = sparsify(g, opts).edges;
+    })["engine.stage.embedding"];
+    return edges;
   };
 
-  StageTimeObserver obs_gen;
-  const auto edges_gen = run_with(Backend::kGeneric, obs_gen);
+  double embed_gen = 0.0;
+  const auto edges_gen = run_with(Backend::kGeneric, embed_gen);
 
   const std::optional<Backend> simd = simd_backend();
   Json row = Json::object()
                  .set("graph", "dblp")
-                 .set("embed_seconds_generic", obs_gen.embedding_seconds());
+                 .set("embed_seconds_generic", embed_gen);
   std::printf("%-10s | %-8s %12s\n", "graph", "backend", "embed stage");
   bench::print_rule(40);
-  std::printf("%-10s | %-8s %11.3fs\n", "dblp", "generic",
-              obs_gen.embedding_seconds());
+  std::printf("%-10s | %-8s %11.3fs\n", "dblp", "generic", embed_gen);
   if (simd) {
-    StageTimeObserver obs_simd;
-    const auto edges_simd = run_with(*simd, obs_simd);
+    double embed_simd = 0.0;
+    const auto edges_simd = run_with(*simd, embed_simd);
     const bool identical = edges_gen == edges_simd;
-    const double speedup =
-        obs_gen.embedding_seconds() /
-        std::max(obs_simd.embedding_seconds(), 1e-12);
+    const double speedup = embed_gen / std::max(embed_simd, 1e-12);
     std::printf("%-10s | %-8s %11.3fs  %5.2fx  bitmatch: %s\n", "dblp",
-                kernels::backend_name(*simd), obs_simd.embedding_seconds(),
-                speedup, identical ? "yes" : "NO (BUG)");
+                kernels::backend_name(*simd), embed_simd, speedup,
+                identical ? "yes" : "NO (BUG)");
     row.set("simd_backend", kernels::backend_name(*simd))
-        .set("embed_seconds_simd", obs_simd.embedding_seconds())
+        .set("embed_seconds_simd", embed_simd)
         .set("speedup", speedup)
         .set("bitmatch", identical);
   }

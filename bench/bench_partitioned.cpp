@@ -37,7 +37,9 @@ PartitionedOptions make_options(Index k, CutPolicy policy) {
 /// `whole` is the k = 1 quality every row is compared against.
 void run_case(const Graph& g, Index k, CutPolicy policy,
               const SparsifierQuality& whole, Json& rows) {
-  const PartitionedResult res = partitioned_sparsify(g, make_options(k, policy));
+  PartitionedResult res;
+  const bench::StageSeconds stages = bench::StageSeconds::measure(
+      [&] { res = partitioned_sparsify(g, make_options(k, policy)); });
   const SparsifierQuality q = estimate_sparsifier_quality(g, res.extract(g));
   const double sigma2_err = std::abs(q.sigma2 - whole.sigma2) / whole.sigma2;
   const double lmax_err =
@@ -51,9 +53,9 @@ void run_case(const Graph& g, Index k, CutPolicy policy,
               sigma2_err, lmax_err, res.total_seconds);
 
   Json stage = Json::object();
-  for (int s = 0; s < kNumScaleStages; ++s) {
-    stage.set(to_string(static_cast<ScaleStage>(s)),
-              res.stage_seconds[static_cast<std::size_t>(s)]);
+  for (const char* name : {"partition", "extract", "block-sparsify",
+                           "cut-sparsify", "stitch", "quality"}) {
+    stage.set(name, stages[std::string("scale.stage.") + name]);
   }
   rows.push(Json::object()
                 .set("k", static_cast<long long>(k))

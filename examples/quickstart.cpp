@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/options_io.hpp"
 #include "core/sparsifier.hpp"
 #include "core/sparsifier_engine.hpp"
 #include "graph/generators/lattice.hpp"
@@ -19,21 +18,16 @@
 
 namespace {
 
-/// Live telemetry: one line per densification round, stage timings on
-/// demand. Returning false from on_round would cancel the run.
+/// Live per-round hook: one line per densification round. Returning false
+/// from on_round would cancel the run. (Stage wall times live in src/obs/:
+/// the `engine.stage.*` counters and spans.)
 class PrintObserver : public ssp::StageObserver {
  public:
   bool on_round(const ssp::DensifyRound& r) override {
     std::cout << "  round " << r.round << ": sigma2 = " << r.sigma2_estimate
               << ", theta = " << r.theta << ", added " << r.edges_added
-              << " edges (" << r.seconds << " s)\n";
+              << " edges\n";
     return true;
-  }
-  void on_stage(ssp::StageKind stage, double seconds) override {
-    if (stage == ssp::StageKind::kBackbone) {
-      std::cout << "  [" << ssp::to_string(stage) << " built in " << seconds
-                << " s]\n";
-    }
   }
 };
 

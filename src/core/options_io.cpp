@@ -72,24 +72,6 @@ const char* to_string(CutPolicy policy) {
   return "?";
 }
 
-const char* to_string(ScaleStage stage) {
-  switch (stage) {
-    case ScaleStage::kPartition:
-      return "partition";
-    case ScaleStage::kExtract:
-      return "extract";
-    case ScaleStage::kBlockSparsify:
-      return "block-sparsify";
-    case ScaleStage::kCutSparsify:
-      return "cut-sparsify";
-    case ScaleStage::kStitch:
-      return "stitch";
-    case ScaleStage::kQuality:
-      return "quality";
-  }
-  return "?";
-}
-
 const char* to_string(DynamicStage stage) {
   switch (stage) {
     case DynamicStage::kValidate:

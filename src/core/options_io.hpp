@@ -13,7 +13,6 @@ namespace ssp {
 
 enum class StageKind;     // full definition in core/sparsifier_engine.hpp
 enum class CutPolicy;     // full definition in scale/partitioned_sparsifier.hpp
-enum class ScaleStage;    // full definition in scale/partitioned_sparsifier.hpp
 enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 
 /// "akpw" | "kruskal" | "spt"
@@ -31,10 +30,6 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 
 /// "keep-all" | "filter" | "quotient"
 [[nodiscard]] const char* to_string(CutPolicy policy);
-
-/// "partition" | "extract" | "block-sparsify" | "cut-sparsify" | "stitch" |
-/// "quality"
-[[nodiscard]] const char* to_string(ScaleStage stage);
 
 /// "validate" | "apply-graph" | "tree-repair" | "rebind" | "sparsify"
 [[nodiscard]] const char* to_string(DynamicStage stage);

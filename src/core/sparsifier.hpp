@@ -17,12 +17,13 @@
 /// // κ(L_G, L_P) ≈ r.sigma2_estimate ≤ opts.sigma2 (when reached_target)
 /// ```
 ///
-/// Staged engine flow — per-round control, stage observers, cancellation,
-/// and warm-started re-sparsification (see sparsifier_engine.hpp):
+/// Staged engine flow — per-round control, cancellation, and
+/// warm-started re-sparsification (see sparsifier_engine.hpp); stage
+/// times come from the src/obs/ counters and spans:
 ///
 /// ```
 /// ssp::Sparsifier engine(g, opts);
-/// engine.set_observer(&my_observer);       // on_round / on_stage hooks
+/// engine.set_observer(&my_observer);       // on_round: inspect or cancel
 /// engine.run();                            // or: while (!engine.done()) engine.step();
 /// ssp::Graph p = engine.result().extract(engine.graph());
 /// engine.refine(25.0);                     // tighten σ² — reuses the
@@ -142,8 +143,9 @@ struct SparsifyOptions {
   SparsifyOptions& with_estimation(EstimationMode mode);
 };
 
-/// Telemetry of one densification round (paper §3.7), delivered live via
+/// Record of one densification round (paper §3.7), delivered live via
 /// `StageObserver::on_round` and retained in `SparsifyResult::rounds`.
+/// Its stage times are in the `engine.stage.*` counters (src/obs/).
 struct DensifyRound {
   Index round = 0;
   double lambda_min = 0.0;       ///< node-coloring estimate, Eq. (18)
@@ -151,7 +153,6 @@ struct DensifyRound {
   double sigma2_estimate = 0.0;  ///< λ_max / λ_min before this round's adds
   double theta = 0.0;            ///< filter threshold θ_σ used, Eq. (15)
   EdgeId edges_added = 0;
-  double seconds = 0.0;
 };
 
 struct SparsifyResult {
@@ -164,9 +165,8 @@ struct SparsifyResult {
   double lambda_max = 0.0;
   double sigma2_estimate = 0.0;  ///< final λ_max/λ_min estimate
   bool reached_target = false;
-  /// Per-round telemetry. Deprecated in favour of a live
-  /// `StageObserver::on_round` hook on the engine; kept populated for
-  /// existing callers.
+  /// One record per round, in order — the same records
+  /// `StageObserver::on_round` receives live.
   std::vector<DensifyRound> rounds;
   double total_seconds = 0.0;
 

@@ -145,8 +145,7 @@ constexpr obs::MetricId kStageCallsMetric[kNumStageKinds] = {
 
 }  // namespace
 
-bool Sparsifier::finish_round(DensifyRound& stats, double seconds) {
-  stats.seconds = seconds;
+bool Sparsifier::finish_round(const DensifyRound& stats) {
   obs::counter_add("engine.rounds", 1);
   obs::counter_add("engine.filter.edges_added",
                    static_cast<std::uint64_t>(stats.edges_added));
@@ -162,8 +161,7 @@ void Sparsifier::notify_stage(StageKind stage, double seconds) {
   obs::counter_add(kStageNsMetric[idx],
                    static_cast<std::uint64_t>(seconds * 1e9));
   obs::counter_add(kStageCallsMetric[idx], 1);
-  obs::TraceScope span(kStageSpanName[idx], seconds);
-  if (observer_ != nullptr) observer_->on_stage(stage, seconds);
+  obs::emit_span(kStageSpanName[idx], seconds);
 }
 
 StepStatus Sparsifier::step() {
@@ -177,7 +175,6 @@ StepStatus Sparsifier::step() {
 
 StepStatus Sparsifier::step_impl() {
   ensure_backbone();
-  const WallTimer round_timer;
   DensifyRound stats;
   stats.round = next_round_;
 
@@ -207,7 +204,7 @@ StepStatus Sparsifier::step_impl() {
   if (stats.sigma2_estimate <= opts_.sigma2 ||
       static_cast<EdgeId>(result_.edges.size()) == g_->num_edges()) {
     result_.reached_target = stats.sigma2_estimate <= opts_.sigma2;
-    finish_round(stats, round_timer.seconds());
+    finish_round(stats);
     done_ = true;
     return result_.reached_target ? StepStatus::kConverged
                                   : StepStatus::kExhausted;
@@ -264,7 +261,7 @@ StepStatus Sparsifier::step_impl() {
   obs::counter_add("engine.filter.examined", filter_stats.examined);
   notify_stage(StageKind::kFiltering, stage_timer.seconds());
   if (picked.empty()) {  // no off-tree edges remain
-    finish_round(stats, round_timer.seconds());
+    finish_round(stats);
     done_ = true;
     return StepStatus::kExhausted;
   }
@@ -275,7 +272,7 @@ StepStatus Sparsifier::step_impl() {
   stats.edges_added = static_cast<EdgeId>(picked.size());
   ++rounds_this_phase_;
 
-  const bool keep_going = finish_round(stats, round_timer.seconds());
+  const bool keep_going = finish_round(stats);
   if (rounds_this_phase_ >= opts_.max_rounds) {
     // Round budget exhausted right after an add: refresh the final
     // estimate so the reported σ² reflects the sparsifier actually

@@ -22,10 +22,12 @@
 ///    weights or topology) with a caller-supplied backbone, reusing every
 ///    workspace buffer — the dynamic layer's (src/dynamic/) one warm path.
 ///
-/// Observability: attach a `StageObserver` to receive per-round telemetry
-/// (`on_round`, which may cancel by returning false) and per-stage wall
-/// times (`on_stage`). This replaces grepping the write-only
-/// `SparsifyResult::rounds` vector after the fact.
+/// Observability: every stage adds its wall time to the
+/// `engine.stage.<stage>.ns` / `.calls` counters and emits an
+/// `engine.<stage>` span (src/obs/) — the one source of stage times. A
+/// `StageObserver` is a control hook only: `on_round` receives each
+/// round's record (the same one appended to `SparsifyResult::rounds`) and
+/// may cancel by returning false.
 ///
 /// The engine owns all per-round scratch (sparsifier membership bitmap,
 /// power-iteration vectors, off-tree heat arrays), so repeated rounds —
@@ -76,7 +78,8 @@
 
 namespace ssp {
 
-/// Pipeline stages reported through `StageObserver::on_stage`.
+/// Pipeline stages; each is timed into `engine.stage.<stage>.ns` and an
+/// `engine.<stage>` span, named by `to_string(StageKind)`.
 enum class StageKind {
   kBackbone,          ///< spanning-tree backbone construction
   kSolverSetup,       ///< L_P assembly and inner-solver (re)build
@@ -86,12 +89,11 @@ enum class StageKind {
   kFinalEstimate,     ///< post-loop σ² refresh after the round budget
 };
 
-/// Number of StageKind values (for per-stage accumulation arrays).
+/// Number of StageKind values (sizes the stage name tables).
 inline constexpr int kNumStageKinds = 6;
 
-/// Live telemetry hook for the engine. Default implementations observe
-/// nothing; override what you need. Callbacks run synchronously on the
-/// engine's thread and must not re-enter the engine.
+/// Per-round control hook for the engine. The callback runs
+/// synchronously on the engine's thread and must not re-enter the engine.
 class StageObserver {
  public:
   virtual ~StageObserver() = default;
@@ -102,9 +104,6 @@ class StageObserver {
   /// far. The returned value is ignored on rounds that already terminate
   /// the run.
   virtual bool on_round(const DensifyRound& /*round*/) { return true; }
-
-  /// Called as each pipeline stage completes, with its wall time.
-  virtual void on_stage(StageKind /*stage*/, double /*seconds*/) {}
 };
 
 /// Outcome of a `step()` (and, for the terminal statuses, of `run()`).
@@ -125,8 +124,7 @@ class Sparsifier {
  public:
   /// Validates `opts` and binds the engine to `g` (connected, finalized;
   /// must outlive the engine). The backbone is built lazily on the first
-  /// `step()`/`run()` so an observer attached after construction still
-  /// sees the StageKind::kBackbone notification.
+  /// `step()`/`run()`.
   explicit Sparsifier(const Graph& g, SparsifyOptions opts = {});
 
   /// Caller-supplied backbone (must span `g`; both must outlive the
@@ -138,7 +136,7 @@ class Sparsifier {
   Sparsifier(const Sparsifier&) = delete;
   Sparsifier& operator=(const Sparsifier&) = delete;
 
-  /// Attaches (or detaches, with nullptr) the telemetry observer. The
+  /// Attaches (or detaches, with nullptr) the round observer. The
   /// observer must outlive the engine or be detached first.
   void set_observer(StageObserver* observer) { observer_ = observer; }
 
@@ -228,8 +226,8 @@ class Sparsifier {
   [[nodiscard]] LinOp make_solver(double* setup_seconds,
                                   PanelOp* panel = nullptr);
   void final_estimate();
-  /// Stamps seconds, records, and notifies; returns on_round's verdict.
-  bool finish_round(DensifyRound& stats, double seconds);
+  /// Records the round and notifies; returns on_round's verdict.
+  bool finish_round(const DensifyRound& stats);
   void notify_stage(StageKind stage, double seconds);
   StepStatus step_impl();
 

@@ -160,8 +160,7 @@ void DynamicSparsifier::notify_stage(DynamicStage stage, double seconds,
   // Telemetry only — consumes no RNG and never feeds back into routing.
   const auto idx = static_cast<int>(stage);
   obs::counter_add(kDynStageNs[idx], static_cast<std::uint64_t>(seconds * 1e9));
-  obs::TraceScope span(kDynSpanName[idx], seconds);
-  if (observer_ != nullptr) observer_->on_dynamic_stage(stage, seconds);
+  obs::emit_span(kDynSpanName[idx], seconds);
 }
 
 void DynamicSparsifier::validate_batch(const UpdateBatch& batch) const {

@@ -91,7 +91,8 @@ struct UpdateBatch {
   }
 };
 
-/// Stages reported through `DynamicObserver::on_dynamic_stage`.
+/// Stages of one batch; each is timed into `UpdateStats::stage_seconds`,
+/// the `dynamic.stage.<stage>.ns` counter and a `dynamic.<stage>` span.
 enum class DynamicStage {
   kValidate,    ///< batch validation incl. connectivity pre-check
   kApplyGraph,  ///< graph mutation + CSR rebuild
@@ -118,13 +119,13 @@ struct UpdateStats {
   std::array<double, kNumDynamicStages> stage_seconds{};
 };
 
-/// Telemetry hook mirroring `ScaleObserver`: `on_dynamic_stage` as each
-/// stage of a batch finishes, then one `on_update` with the batch totals.
-/// Callbacks run on the applying thread and must not re-enter the layer.
+/// Per-batch completion hook: one `on_update` with each batch's record
+/// once it is in `history()`. Stage times are in src/obs/ (see
+/// `DynamicStage`). The callback runs on the applying thread and must not
+/// re-enter the layer.
 class DynamicObserver {
  public:
   virtual ~DynamicObserver() = default;
-  virtual void on_dynamic_stage(DynamicStage /*stage*/, double /*seconds*/) {}
   virtual void on_update(const UpdateStats& /*stats*/) {}
 };
 
@@ -189,7 +190,8 @@ class DynamicSparsifier {
   /// Binds to a copy of `g` (finalized, connected, >= 2 vertices) and
   /// runs the initial sparsification (batch 0). Pass `observer` here —
   /// not only via set_observer() — to receive the initial build's
-  /// telemetry too (the build completes before set_observer() could run).
+  /// `on_update` too (the build completes before set_observer() could
+  /// run).
   explicit DynamicSparsifier(const Graph& g, DynamicOptions opts = {},
                              DynamicObserver* observer = nullptr);
 
@@ -213,7 +215,7 @@ class DynamicSparsifier {
   DynamicSparsifier(const DynamicSparsifier&) = delete;
   DynamicSparsifier& operator=(const DynamicSparsifier&) = delete;
 
-  /// Attaches (or detaches, with nullptr) the telemetry observer; must
+  /// Attaches (or detaches, with nullptr) the batch observer; must
   /// outlive the driver or be detached first.
   void set_observer(DynamicObserver* observer) { observer_ = observer; }
 

@@ -74,7 +74,7 @@ void gauge_add(MetricId id, std::int64_t delta) noexcept;
 void histogram_observe(MetricId id, double value) noexcept;
 
 /// Runtime-composed-name variants for labels only known at run time
-/// (e.g. "scale.block.3.stage.embedding.ns"). The name (truncated to
+/// (e.g. "scale.block.3.components"). The name (truncated to
 /// the slot's fixed buffer) is copied into the registry, so the caller
 /// may pass a stack buffer.
 void counter_add_named(std::string_view name, std::uint64_t delta) noexcept;

@@ -20,11 +20,10 @@
 ///
 /// Two recording shapes:
 ///  - `Span`: live RAII scope, measures its own duration.
-///  - `TraceScope`: retrospective — the existing observers
-///    (StageObserver / ScaleObserver / DynamicObserver) receive post-hoc
-///    stage durations, so their callbacks construct a TraceScope which
-///    back-dates a complete event ending "now". This is what makes the
-///    observer callbacks thin adapters over spans.
+///  - `emit_span`: retrospective — each layer's `notify_stage` (engine,
+///    scale, dynamic) learns a stage's duration once it ran, adds it to
+///    its stage counter and back-dates a complete event ending "now".
+///    These spans and counters are the only record of stage times.
 ///
 /// Define SSP_OBS_NO_TRACE to compile every entry point to a no-op.
 
@@ -43,8 +42,8 @@ void start_trace() noexcept;
 void stop_trace() noexcept;
 
 /// Record a complete event that ended now and lasted `seconds`
-/// (back-dated start). Used by observer callbacks which only learn a
-/// stage's duration after it ran. Optional integer argument (e.g. a
+/// (back-dated start). Used by the `notify_stage` calls, which only learn
+/// a stage's duration after it ran. Optional integer argument (e.g. a
 /// block id) is attached as {"args":{arg_name: arg}}.
 void emit_span(const char* name, double seconds,
                const char* arg_name = nullptr, std::int64_t arg = 0) noexcept;
@@ -64,15 +63,6 @@ class Span {
   std::int64_t arg_;
   std::uint64_t start_ns_;
   bool armed_;
-};
-
-/// Retrospective span for observer callbacks (duration already known).
-struct TraceScope {
-  explicit TraceScope(const char* name, double seconds,
-                      const char* arg_name = nullptr,
-                      std::int64_t arg = 0) noexcept {
-    emit_span(name, seconds, arg_name, arg);
-  }
 };
 
 /// Serialize every recorded span as Chrome trace_event JSON. Safe to
@@ -98,10 +88,6 @@ class Span {
  public:
   explicit Span(const char*, const char* = nullptr, std::int64_t = 0) noexcept {
   }
-};
-struct TraceScope {
-  explicit TraceScope(const char*, double, const char* = nullptr,
-                      std::int64_t = 0) noexcept {}
 };
 inline void write_chrome_trace(std::ostream&) {}
 inline bool write_trace_file(const std::string&) { return true; }

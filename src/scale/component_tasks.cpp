@@ -33,9 +33,7 @@ void run_task(ComponentTask& task) {
     SparsifyOptions eopts = *task.base_opts;
     eopts.seed = task.seed;
     eopts.threads = 1;  // concurrency lives in the outer fan-out
-    StageSecondsAccumulator acc(&task.stage_seconds);
     Sparsifier engine(sg, eopts);
-    engine.set_observer(&acc);
     engine.run();
     const SparsifyResult& r = engine.result();
     task.selected.reserve(r.edges.size());
@@ -111,27 +109,11 @@ BlockStats fold_stats(Index block, const Subgraph& sub,
     stats.sigma2_estimate = std::max(stats.sigma2_estimate, task.sigma2);
     stats.reached_target = stats.reached_target && task.reached;
     stats.seconds += task.seconds;
-    for (int s = 0; s < kNumStageKinds; ++s) {
-      stats.stage_seconds[static_cast<std::size_t>(s)] +=
-          task.stage_seconds[static_cast<std::size_t>(s)];
-    }
   }
-  // Per-block per-stage seconds go into the registry under a per-block
-  // label. Blocks fold concurrently-computed task timings only here, on
-  // the driving thread after the run_tasks barrier, and the registry is
-  // lock-free besides — no shared mutable struct to race on.
+  // Folded on the driving thread after the run_tasks barrier; the
+  // registry is lock-free besides.
   if (obs::metrics_enabled()) {
-    static constexpr const char* kStageName[kNumStageKinds] = {
-        "backbone",  "solver-setup", "spectral-estimate",
-        "embedding", "filtering",    "final-estimate"};
     char name[64];
-    for (int s = 0; s < kNumStageKinds; ++s) {
-      const double sec = stats.stage_seconds[static_cast<std::size_t>(s)];
-      if (sec <= 0.0) continue;
-      std::snprintf(name, sizeof(name), "scale.block.%lld.stage.%s.ns",
-                    static_cast<long long>(block), kStageName[s]);
-      obs::counter_add_named(name, static_cast<std::uint64_t>(sec * 1e9));
-    }
     std::snprintf(name, sizeof(name), "scale.block.%lld.components",
                   static_cast<long long>(block));
     obs::counter_add_named(name,

@@ -10,9 +10,11 @@
 /// `BlockStats`. Determinism lives here: component c of stream s draws
 /// its seed from `parent.split(s).split(c)`, tasks own their output
 /// slots, and selection order is a pure function of the inputs — never
-/// of the executing thread.
+/// of the executing thread. Stage times come from src/obs/ alone: each
+/// task runs inside a `scale.component` span tagged with its block id, and
+/// its engine records its own stages into the `engine.stage.*` counters
+/// and spans.
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -23,20 +25,6 @@
 #include "util/rng.hpp"
 
 namespace ssp::scale_detail {
-
-/// Sums engine stage wall times into a caller-owned array (one engine per
-/// task, so no synchronization is needed).
-class StageSecondsAccumulator final : public StageObserver {
- public:
-  explicit StageSecondsAccumulator(std::array<double, kNumStageKinds>* acc)
-      : acc_(acc) {}
-  void on_stage(StageKind stage, double seconds) override {
-    (*acc_)[static_cast<int>(stage)] += seconds;
-  }
-
- private:
-  std::array<double, kNumStageKinds>* acc_;
-};
 
 /// One unit of engine work: a connected component of a work unit (block,
 /// leaf, or cut graph), with its edge map into host edge ids and derived
@@ -58,7 +46,6 @@ struct ComponentTask {
   bool reached = true;
   bool is_tree = false;
   double seconds = 0.0;
-  std::array<double, kNumStageKinds> stage_seconds{};
 
   [[nodiscard]] const Graph& graph() const {
     return owned.has_value() ? owned->graph : parent->graph;

@@ -169,8 +169,6 @@ const HierarchicalResult& HierarchicalSparsifier::run() {
     const Graph heap = g_.materialize();
     release();
     Sparsifier engine(heap, opts_.block);
-    scale_detail::StageSecondsAccumulator acc(&stats.stage_seconds);
-    engine.set_observer(&acc);
     engine.run();
     SparsifyResult r = engine.take_result();
     stats.kept_edges = static_cast<EdgeId>(r.edges.size());
@@ -180,7 +178,6 @@ const HierarchicalResult& HierarchicalSparsifier::run() {
     result_.edges = std::move(r.edges);
     result_.whole_graph = true;
     result_.leaf_stats.push_back(stats);
-    if (observer_ != nullptr) observer_->on_block(stats);
     result_.total_seconds = total.seconds();
     done_ = true;
     return result_;
@@ -227,9 +224,6 @@ const HierarchicalResult& HierarchicalSparsifier::run() {
       }
       result_.leaf_stats.push_back(
           scale_detail::fold_stats(static_cast<Index>(l), sub, tasks));
-      if (observer_ != nullptr) {
-        observer_->on_block(result_.leaf_stats.back());
-      }
     }
     release();
   }

@@ -124,11 +124,6 @@ class HierarchicalSparsifier {
     release_hook_ = std::move(hook);
   }
 
-  /// Attaches (or detaches, with nullptr) the telemetry observer:
-  /// `on_block` fires once per leaf in leaf order. Must outlive the
-  /// driver or be detached first.
-  void set_observer(ScaleObserver* observer) { observer_ = observer; }
-
   /// Runs ordering, splitting, and every leaf to completion. Idempotent:
   /// subsequent calls return the cached result.
   const HierarchicalResult& run();
@@ -158,7 +153,6 @@ class HierarchicalSparsifier {
   GraphView g_;
   HierarchicalOptions opts_;
   std::function<void()> release_hook_;
-  ScaleObserver* observer_ = nullptr;
   HierarchicalResult result_;
   bool done_ = false;
 };

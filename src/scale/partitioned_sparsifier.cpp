@@ -115,26 +115,14 @@ PartitionedSparsifier::PartitionedSparsifier(const Graph& g,
 
 namespace {
 
-// Indexed by ScaleStage; keep in sync with the enum in the header.
-constexpr const char* kScaleSpanName[kNumScaleStages] = {
-    "scale.partition",    "scale.extract", "scale.block-sparsify",
-    "scale.cut-sparsify", "scale.stitch",  "scale.quality"};
-constexpr obs::MetricId kScaleStageNs[kNumScaleStages] = {
-    "scale.stage.partition.ns",    "scale.stage.extract.ns",
-    "scale.stage.block-sparsify.ns", "scale.stage.cut-sparsify.ns",
-    "scale.stage.stitch.ns",       "scale.stage.quality.ns"};
+/// Adds one pipeline stage's wall time to its counter and emits its span.
+/// Telemetry only: recording never alters partitioning or seeds.
+void notify_stage(const char* span, obs::MetricId ns_metric, double seconds) {
+  obs::counter_add(ns_metric, static_cast<std::uint64_t>(seconds * 1e9));
+  obs::emit_span(span, seconds);
+}
 
 }  // namespace
-
-void PartitionedSparsifier::notify_stage(ScaleStage stage, double seconds) {
-  result_.stage_seconds[static_cast<std::size_t>(stage)] = seconds;
-  // Telemetry only: recording never alters partitioning or seeds.
-  const auto idx = static_cast<int>(stage);
-  obs::counter_add(kScaleStageNs[idx],
-                   static_cast<std::uint64_t>(seconds * 1e9));
-  obs::TraceScope span(kScaleSpanName[idx], seconds);
-  if (observer_ != nullptr) observer_->on_scale_stage(stage, seconds);
-}
 
 const PartitionedResult& PartitionedSparsifier::run() {
   if (done_) return result_;
@@ -158,7 +146,8 @@ const PartitionedResult& PartitionedSparsifier::run() {
       result_.assignment = rb.assignment;
       result_.blocks = rb.parts;
     }
-    notify_stage(ScaleStage::kPartition, timer.seconds());
+    notify_stage("scale.partition", "scale.stage.partition.ns",
+                 timer.seconds());
   }
 
   // A single connected block is exactly the whole-graph engine — run it
@@ -185,8 +174,6 @@ void PartitionedSparsifier::run_whole_graph() {
   // opts_.block verbatim: same seed, same streams, same edge list as a
   // standalone whole-graph engine run.
   Sparsifier engine(*g_, opts_.block);
-  scale_detail::StageSecondsAccumulator acc(&stats.stage_seconds);
-  engine.set_observer(&acc);
   engine.run();
   SparsifyResult r = engine.take_result();
   stats.kept_edges = static_cast<EdgeId>(r.edges.size());
@@ -195,11 +182,11 @@ void PartitionedSparsifier::run_whole_graph() {
   stats.seconds = timer.seconds();
   result_.edges = std::move(r.edges);
   result_.block_stats.push_back(stats);
-  notify_stage(ScaleStage::kExtract, 0.0);
-  notify_stage(ScaleStage::kBlockSparsify, stats.seconds);
-  if (observer_ != nullptr) observer_->on_block(stats);
-  notify_stage(ScaleStage::kCutSparsify, 0.0);
-  notify_stage(ScaleStage::kStitch, 0.0);
+  notify_stage("scale.extract", "scale.stage.extract.ns", 0.0);
+  notify_stage("scale.block-sparsify", "scale.stage.block-sparsify.ns",
+               stats.seconds);
+  notify_stage("scale.cut-sparsify", "scale.stage.cut-sparsify.ns", 0.0);
+  notify_stage("scale.stitch", "scale.stage.stitch.ns", 0.0);
 }
 
 void PartitionedSparsifier::run_partitioned() {
@@ -213,7 +200,7 @@ void PartitionedSparsifier::run_partitioned() {
     const WallTimer timer;
     blocks = partition_subgraphs(*g_, assignment, k);
     cut = cut_subgraph(*g_, assignment);
-    notify_stage(ScaleStage::kExtract, timer.seconds());
+    notify_stage("scale.extract", "scale.stage.extract.ns", timer.seconds());
   }
   result_.cut_edges_total = cut.graph.num_edges();
 
@@ -228,14 +215,12 @@ void PartitionedSparsifier::run_partitioned() {
   {
     const WallTimer timer;
     run_tasks(tasks, 0, num_block_tasks, opts_.threads);
-    notify_stage(ScaleStage::kBlockSparsify, timer.seconds());
+    notify_stage("scale.block-sparsify", "scale.stage.block-sparsify.ns",
+                 timer.seconds());
   }
   for (Index b = 0; b < k; ++b) {
     result_.block_stats.push_back(
         fold_stats(b, blocks[static_cast<std::size_t>(b)], tasks));
-    if (observer_ != nullptr) {
-      observer_->on_block(result_.block_stats.back());
-    }
   }
 
   // Stage 4: cut policy.
@@ -283,10 +268,8 @@ void PartitionedSparsifier::run_partitioned() {
         break;
       }
     }
-    notify_stage(ScaleStage::kCutSparsify, timer.seconds());
-  }
-  if (result_.cut_stats.has_value() && observer_ != nullptr) {
-    observer_->on_block(*result_.cut_stats);
+    notify_stage("scale.cut-sparsify", "scale.stage.cut-sparsify.ns",
+                 timer.seconds());
   }
 
   // Stage 5: stitch + connectivity repair.
@@ -330,7 +313,7 @@ void PartitionedSparsifier::run_partitioned() {
     }
     SSP_ASSERT(uf.num_sets() == static_cast<Index>(g_components),
                "partitioned sparsifier lost connectivity");
-    notify_stage(ScaleStage::kStitch, timer.seconds());
+    notify_stage("scale.stitch", "scale.stage.stitch.ns", timer.seconds());
   }
 }
 
@@ -354,7 +337,7 @@ void PartitionedSparsifier::quality_stage(const Graph& g) {
       result_.rescaled = rescale_sparsifier(g, synth);
     }
   }
-  notify_stage(ScaleStage::kQuality, timer.seconds());
+  notify_stage("scale.quality", "scale.stage.quality.ns", timer.seconds());
 }
 
 PartitionedResult partitioned_sparsify(const Graph& g,

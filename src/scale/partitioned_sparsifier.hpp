@@ -45,13 +45,17 @@
 ///    derives from stream ids ≥ k so cut streams never collide with block
 ///    streams. `threads` changes wall time only.
 ///
+/// Telemetry lives in src/obs/ only: each pipeline stage adds its wall
+/// time to `scale.stage.<stage>.ns` and emits a `scale.<stage>` span, and
+/// each component engine runs inside a `scale.component` span carrying its
+/// block id, with the engine's own stage spans nested inside it.
+///
 /// σ² caveat: block σ² targets are local — the global condition number of
 /// the stitched sparsifier is typically somewhat above the per-block
 /// target (cut edges are filtered separately), which is the classic
 /// quality/scale trade studied in bench_partitioned. Use
 /// `estimate_quality` (or the bench) to measure it.
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -71,19 +75,6 @@ enum class CutPolicy {
   kFilter,    ///< engine pass over the cut graph (default)
   kQuotient,  ///< one heaviest edge per adjacent block pair + repair
 };
-
-/// Stages reported through `ScaleObserver::on_scale_stage`.
-enum class ScaleStage {
-  kPartition,     ///< recursive bisection / assignment validation
-  kExtract,       ///< block + cut subgraph extraction
-  kBlockSparsify, ///< concurrent per-block engines
-  kCutSparsify,   ///< cut policy application
-  kStitch,        ///< global edge list assembly + connectivity repair
-  kQuality,       ///< global (λ_min, λ_max, σ²) estimate / rescale
-};
-
-/// Number of ScaleStage values (for per-stage accumulation arrays).
-inline constexpr int kNumScaleStages = 6;
 
 struct PartitionedOptions {
   /// Target block count k (>= 1). 1 bypasses partitioning entirely.
@@ -136,19 +127,6 @@ struct BlockStats {
   double sigma2_estimate = 0.0;  ///< worst (max) component estimate
   bool reached_target = true;    ///< all engine components reached σ²
   double seconds = 0.0;          ///< wall time summed over components
-  /// Engine stage seconds summed over components, indexed by StageKind.
-  std::array<double, kNumStageKinds> stage_seconds{};
-};
-
-/// Telemetry hook for partitioned runs. Callbacks are invoked on the
-/// driving thread (never concurrently), in deterministic order: blocks in
-/// id order after the block stage completes, then the cut pass, with
-/// `on_scale_stage` as each pipeline stage finishes.
-class ScaleObserver {
- public:
-  virtual ~ScaleObserver() = default;
-  virtual void on_scale_stage(ScaleStage /*stage*/, double /*seconds*/) {}
-  virtual void on_block(const BlockStats& /*stats*/) {}
 };
 
 struct PartitionedResult {
@@ -164,8 +142,6 @@ struct PartitionedResult {
   EdgeId cut_edges_kept = 0;   ///< cut edges in the sparsifier
   std::vector<BlockStats> block_stats;     ///< one per block, in id order
   std::optional<BlockStats> cut_stats;     ///< kFilter engine pass only
-  /// Wall seconds per ScaleStage (kQuality covers estimate + rescale).
-  std::array<double, kNumScaleStages> stage_seconds{};
   double total_seconds = 0.0;
   /// Global quality of the stitched sparsifier (estimate_quality/rescale).
   std::optional<SparsifierQuality> quality;
@@ -202,10 +178,6 @@ class PartitionedSparsifier {
   PartitionedSparsifier(const PartitionedSparsifier&) = delete;
   PartitionedSparsifier& operator=(const PartitionedSparsifier&) = delete;
 
-  /// Attaches (or detaches, with nullptr) the telemetry observer; must
-  /// outlive the driver or be detached first.
-  void set_observer(ScaleObserver* observer) { observer_ = observer; }
-
   /// Runs the five-stage pipeline to completion. Idempotent: subsequent
   /// calls return the cached result.
   const PartitionedResult& run();
@@ -222,12 +194,10 @@ class PartitionedSparsifier {
   void run_whole_graph();  ///< partitions == 1 bit-for-bit fast path
   void run_partitioned();
   void quality_stage(const Graph& g);
-  void notify_stage(ScaleStage stage, double seconds);
 
   const Graph* g_;
   PartitionedOptions opts_;
   std::optional<std::vector<Vertex>> user_assignment_;
-  ScaleObserver* observer_ = nullptr;
   PartitionedResult result_;
   bool done_ = false;
 };

@@ -34,6 +34,10 @@ struct ScriptOptions {
   Index reweights_per_batch = 4;
   double weight_lo = 0.2;
   double weight_hi = 5.0;
+  /// Probability that a reweight or insert copies the weight of a random
+  /// current edge instead of drawing a fresh one, so the kept edge order
+  /// must break weight ties by id. 0 keeps scripts tie-free.
+  double tie_probability = 0.0;
 };
 
 /// True when removing `remove` from `g` (all ids valid) keeps it connected.
@@ -63,12 +67,20 @@ inline std::vector<UpdateBatch> make_update_script(const Graph& g, Rng& rng,
     UpdateBatch batch;
     const EdgeId m = sim.num_edges();
     std::set<EdgeId> touched;
+    // The tie coin is only tossed when ties are on, so tie-free scripts
+    // keep their exact random sequence.
+    const auto draw_weight = [&] {
+      if (o.tie_probability > 0.0 && rng.uniform() < o.tie_probability) {
+        return sim.edge(static_cast<EdgeId>(rng.uniform_int(0, m - 1)))
+            .weight;
+      }
+      return rng.uniform(o.weight_lo, o.weight_hi);
+    };
 
     for (Index i = 0; i < o.reweights_per_batch && m > 0; ++i) {
       const EdgeId e = static_cast<EdgeId>(rng.uniform_int(0, m - 1));
       if (!touched.insert(e).second) continue;
-      batch.reweight.push_back(
-          WeightUpdate{e, rng.uniform(o.weight_lo, o.weight_hi)});
+      batch.reweight.push_back(WeightUpdate{e, draw_weight()});
     }
 
     for (Index i = 0; i < o.deletes_per_batch && m > 0; ++i) {
@@ -88,7 +100,7 @@ inline std::vector<UpdateBatch> make_update_script(const Graph& g, Rng& rng,
       const Vertex v =
           static_cast<Vertex>(rng.uniform_int(0, sim.num_vertices() - 1));
       if (u == v || !pairs.insert(std::minmax(u, v)).second) continue;
-      batch.insert.push_back(Edge{u, v, rng.uniform(o.weight_lo, o.weight_hi)});
+      batch.insert.push_back(Edge{u, v, draw_weight()});
     }
 
     // Mirror the layer's application order: reweight, insert, remove +

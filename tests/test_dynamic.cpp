@@ -87,28 +87,36 @@ TEST(Differential, IncrementalIsBitIdenticalToColdRebuildAcrossFamilies) {
   // The crown-jewel contract: after every incrementally applied batch, the
   // dynamic sparsifier equals a cold rebuild on the final graph bit for
   // bit — whatever mix of churn the script exercised — at one and at four
-  // worker threads.
+  // worker threads. The second script copies existing weights into half
+  // of its reweights and inserts, so the kept order's id tie-break is
+  // exercised on every family.
   for (auto& [name, g] : generator_families()) {
-    Rng script_rng(101);
-    const std::vector<UpdateBatch> script =
-        make_update_script(g, script_rng, ScriptOptions{});
-    for (const int threads : {1, 4}) {
-      DynamicOptions opts = incremental_options();
-      opts.base.threads = threads;
-      DynamicSparsifier dyn(g, opts);
-      Index batch_no = 0;
-      for (const UpdateBatch& batch : script) {
-        dyn.apply(batch);
-        ++batch_no;
-        const SparsifyResult cold =
-            sparsify(dyn.graph(), dyn.cold_equivalent_options());
-        ASSERT_EQ(dyn.result().edges, cold.edges)
-            << name << " batch " << batch_no << " threads " << threads;
-        ASSERT_EQ(dyn.result().tree_edges, cold.tree_edges)
-            << name << " batch " << batch_no << " threads " << threads;
-        ASSERT_DOUBLE_EQ(dyn.result().sigma2_estimate, cold.sigma2_estimate)
-            << name << " batch " << batch_no << " threads " << threads;
-        ASSERT_EQ(dyn.result().reached_target, cold.reached_target);
+    for (const double ties : {0.0, 0.5}) {
+      Rng script_rng(101);
+      const std::vector<UpdateBatch> script = make_update_script(
+          g, script_rng, ScriptOptions{.tie_probability = ties});
+      for (const int threads : {1, 4}) {
+        DynamicOptions opts = incremental_options();
+        opts.base.threads = threads;
+        DynamicSparsifier dyn(g, opts);
+        Index batch_no = 0;
+        for (const UpdateBatch& batch : script) {
+          dyn.apply(batch);
+          ++batch_no;
+          const SparsifyResult cold =
+              sparsify(dyn.graph(), dyn.cold_equivalent_options());
+          const auto where = [&] {
+            return std::string(name) + " batch " + std::to_string(batch_no) +
+                   " threads " + std::to_string(threads) + " ties " +
+                   std::to_string(ties);
+          };
+          ASSERT_EQ(dyn.result().edges, cold.edges) << where();
+          ASSERT_EQ(dyn.result().tree_edges, cold.tree_edges) << where();
+          ASSERT_DOUBLE_EQ(dyn.result().sigma2_estimate, cold.sigma2_estimate)
+              << where();
+          ASSERT_EQ(dyn.result().reached_target, cold.reached_target)
+              << where();
+        }
       }
     }
   }
@@ -464,39 +472,25 @@ TEST(Dynamic, TelemetryIsRecordedPerBatch) {
   }
 }
 
-/// Records observer callbacks for ordering checks.
+/// Records the batch number of every on_update.
 class RecordingDynamicObserver : public DynamicObserver {
  public:
-  void on_dynamic_stage(DynamicStage stage, double) override {
-    stages.push_back(stage);
-  }
   void on_update(const UpdateStats& stats) override {
     updates.push_back(stats.batch);
   }
-  std::vector<DynamicStage> stages;
   std::vector<Index> updates;
 };
 
-TEST(Dynamic, ObserverSeesStagesThenUpdatePerBatch) {
+TEST(Dynamic, ObserverSeesOneUpdatePerBatch) {
   const Graph g = small_grid(21);
   // Attached at construction, the observer sees the initial build too.
   RecordingDynamicObserver obs;
   DynamicSparsifier dyn(g, incremental_options(), &obs);
   EXPECT_EQ(obs.updates, (std::vector<Index>{0}));
-  obs.stages.clear();
   dyn.insert_edges(std::vector<Edge>{Edge{0, 17, 0.9}});
   EXPECT_EQ(obs.updates, (std::vector<Index>{0, 1}));
-  // All five stages report, sparsify last.
-  ASSERT_FALSE(obs.stages.empty());
-  EXPECT_EQ(obs.stages.front(), DynamicStage::kValidate);
-  EXPECT_EQ(obs.stages.back(), DynamicStage::kSparsify);
-  for (const DynamicStage s :
-       {DynamicStage::kValidate, DynamicStage::kApplyGraph,
-        DynamicStage::kBackbone, DynamicStage::kRebind,
-        DynamicStage::kSparsify}) {
-    EXPECT_NE(std::find(obs.stages.begin(), obs.stages.end(), s),
-              obs.stages.end());
-  }
+  // Stage coverage is read from the obs counters (test_obs,
+  // Metrics.StageCountersCoverEveryLayer).
 }
 
 TEST(Dynamic, OneShotWrapperMatchesManualReplay) {

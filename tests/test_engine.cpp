@@ -111,7 +111,7 @@ TEST(Engine, RefineLooseningStopsWithoutAddingEdges) {
   EXPECT_EQ(engine.result().num_edges(), edges_at_20);
 }
 
-/// Observer that records rounds/stages and cancels after `cancel_after`
+/// Observer that records rounds and cancels after `cancel_after`
 /// edge-adding rounds (negative = never cancel).
 class RecordingObserver : public StageObserver {
  public:
@@ -126,19 +126,15 @@ class RecordingObserver : public StageObserver {
     }
     return true;
   }
-  void on_stage(StageKind stage, double seconds) override {
-    stages.emplace_back(stage, seconds);
-  }
 
   std::vector<DensifyRound> rounds;
-  std::vector<std::pair<StageKind, double>> stages;
   int adding_rounds_seen = 0;
 
  private:
   int cancel_after_;
 };
 
-TEST(Engine, ObserverSeesEveryRoundAndAllStages) {
+TEST(Engine, ObserverSeesEveryRound) {
   const Graph g = test_grid(20);
   Sparsifier engine(g, SparsifyOptions{}.with_sigma2(15.0).with_seed(5));
   RecordingObserver obs;
@@ -151,20 +147,8 @@ TEST(Engine, ObserverSeesEveryRoundAndAllStages) {
     EXPECT_DOUBLE_EQ(obs.rounds[i].sigma2_estimate,
                      engine.result().rounds[i].sigma2_estimate);
   }
-  auto saw = [&](StageKind k) {
-    return std::any_of(obs.stages.begin(), obs.stages.end(),
-                       [&](const auto& s) { return s.first == k; });
-  };
-  EXPECT_TRUE(saw(StageKind::kBackbone));
-  EXPECT_TRUE(saw(StageKind::kSolverSetup));
-  EXPECT_TRUE(saw(StageKind::kSpectralEstimate));
-  EXPECT_TRUE(saw(StageKind::kEmbedding));
-  EXPECT_TRUE(saw(StageKind::kFiltering));
-  // Backbone is built exactly once per phase.
-  EXPECT_EQ(std::count_if(
-                obs.stages.begin(), obs.stages.end(),
-                [](const auto& s) { return s.first == StageKind::kBackbone; }),
-            1);
+  // Stage coverage is read from the obs counters (test_obs,
+  // Metrics.StageCountersCoverEveryLayer).
 }
 
 TEST(Engine, ObserverCancellationStopsAtRequestedRound) {

@@ -17,10 +17,14 @@
 #include <vector>
 
 #include "core/sparsifier.hpp"
+#include "core/sparsifier_engine.hpp"
+#include "dynamic/dynamic_sparsifier.hpp"
 #include "graph/generators/lattice.hpp"
 #include "graph/generators/random_graphs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scale/hierarchical_sparsifier.hpp"
+#include "scale/partitioned_sparsifier.hpp"
 #include "serve/connection.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
@@ -341,6 +345,86 @@ TEST(Determinism, ObsOnVsOffBitIdenticalAtThreads1And4) {
   }
   set_default_threads(0);
   obs::reset_metrics_for_tests();
+}
+
+// ---- Stage coverage: every layer's stage times land in the registry ---------
+
+Graph weighted_grid(Vertex side, std::uint64_t seed) {
+  Rng rng(seed);
+  return grid_2d(side, side, WeightModel::log_uniform(0.1, 10.0), &rng);
+}
+
+std::uint64_t counter(const std::string& name) {
+  return find_metric(name).counter;
+}
+
+TEST(Metrics, StageCountersCoverEveryLayer) {
+  const MetricsOn on;
+
+  // Engine: the backbone is built once, and every stage of a round that
+  // adds edges registers a call.
+  {
+    const Graph g = weighted_grid(20, 31);
+    Sparsifier engine(g, SparsifyOptions{}.with_sigma2(15.0).with_seed(5));
+    engine.run();
+    ASSERT_GT(engine.result().rounds.size(), 1u);
+    EXPECT_EQ(counter("engine.stage.backbone.calls"), 1u);
+    for (const char* stage : {"backbone", "solver-setup", "spectral-estimate",
+                              "embedding", "filtering"}) {
+      EXPECT_GT(counter(std::string("engine.stage.") + stage + ".calls"), 0u)
+          << stage;
+    }
+  }
+
+  // Partitioned driver: all six pipeline stages register their counter.
+  {
+    PartitionedOptions opts;
+    opts.partitions = 3;
+    opts.block.sigma2 = 60.0;
+    opts.estimate_quality = true;
+    const PartitionedResult res =
+        partitioned_sparsify(weighted_grid(12, 14), opts);
+    ASSERT_EQ(res.blocks, 3);
+    for (const char* stage : {"partition", "extract", "block-sparsify",
+                              "cut-sparsify", "stitch", "quality"}) {
+      EXPECT_TRUE(find_metric(std::string("scale.stage.") + stage + ".ns")
+                      .present)
+          << stage;
+    }
+  }
+
+  // Hierarchical driver: each leaf component engine builds one backbone,
+  // so the engine counters advance by exactly that many.
+  {
+    const std::uint64_t before = counter("engine.stage.backbone.calls");
+    HierarchicalOptions opts;
+    opts.memory_budget_bytes = 24 << 10;  // force several leaves
+    opts.block = SparsifyOptions{}.with_sigma2(30.0).with_seed(9);
+    const HierarchicalResult res =
+        hierarchical_sparsify(weighted_grid(24, 33), opts);
+    ASSERT_GE(res.leaves, 2);
+    std::uint64_t engines = 0;
+    for (const BlockStats& leaf : res.leaf_stats) {
+      engines += static_cast<std::uint64_t>(leaf.components -
+                                            leaf.tree_components);
+    }
+    EXPECT_GE(engines, 2u);
+    EXPECT_EQ(counter("engine.stage.backbone.calls") - before, engines);
+  }
+
+  // Dynamic layer: one batch registers all five stage counters.
+  {
+    DynamicOptions opts;
+    opts.base = SparsifyOptions{}.with_sigma2(30.0).with_seed(42);
+    DynamicSparsifier dyn(weighted_grid(21, 21), opts);
+    dyn.insert_edges(std::vector<Edge>{Edge{0, 17, 0.9}});
+    for (const char* stage :
+         {"validate", "apply-graph", "tree-repair", "rebind", "sparsify"}) {
+      EXPECT_TRUE(find_metric(std::string("dynamic.stage.") + stage + ".ns")
+                      .present)
+          << stage;
+    }
+  }
 }
 
 // ---- Serve introspection verbs ----------------------------------------------

@@ -17,9 +17,10 @@
 // hierarchical layer, which keeps at most one leaf subgraph on the heap
 // at a time (a `.sspb` input is never materialized whole). Writes the
 // (final) sparsifier back as a symmetric .mtx and prints a
-// machine-greppable stats block. --progress streams per-round /
-// per-block / per-batch telemetry (per-stage wall times with
-// --progress=stages).
+// machine-greppable stats block. --progress prints one line per round
+// (whole graph, live), per batch (dynamic, live) or per block / leaf / cut
+// pass (scale routes, after the run). Stage wall times are spans in the
+// --trace file, the one record of them.
 
 #include <algorithm>
 #include <cstdio>
@@ -40,73 +41,40 @@
 
 namespace {
 
-/// Streams engine telemetry to stdout as rounds/stages complete.
+/// Streams one line per densification round as it completes.
 class ProgressPrinter : public ssp::StageObserver {
  public:
-  explicit ProgressPrinter(bool show_stages) : show_stages_(show_stages) {}
-
   bool on_round(const ssp::DensifyRound& r) override {
-    std::printf("round %3lld  sigma2 %10.2f  theta %8.3e  added %6lld  "
-                "%.3fs\n",
+    std::printf("round %3lld  sigma2 %10.2f  theta %8.3e  added %6lld\n",
                 static_cast<long long>(r.round), r.sigma2_estimate, r.theta,
-                static_cast<long long>(r.edges_added), r.seconds);
+                static_cast<long long>(r.edges_added));
     return true;
   }
-  void on_stage(ssp::StageKind stage, double seconds) override {
-    if (show_stages_) {
-      std::printf("  stage %-17s %.4fs\n", ssp::to_string(stage), seconds);
-    }
-  }
-
- private:
-  bool show_stages_;
 };
 
-/// Streams scale-layer telemetry: one line per pipeline stage and per
-/// block (engine stage breakdown with --progress=stages).
-class ScaleProgressPrinter : public ssp::ScaleObserver {
- public:
-  explicit ScaleProgressPrinter(bool show_stages)
-      : show_stages_(show_stages) {}
-
-  void on_scale_stage(ssp::ScaleStage stage, double seconds) override {
-    std::printf("stage %-14s %.4fs\n", ssp::to_string(stage), seconds);
+/// One --progress line per block, leaf or cut pass of a scale-layer run.
+void print_block(const ssp::BlockStats& b) {
+  if (b.block == ssp::kCutBlock) {
+    std::printf("  cut    |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f  "
+                "%.3fs\n",
+                b.vertices, static_cast<long long>(b.edges),
+                static_cast<long long>(b.kept_edges), b.sigma2_estimate,
+                b.seconds);
+  } else {
+    std::printf("  block %2lld |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f"
+                "  %.3fs%s\n",
+                static_cast<long long>(b.block), b.vertices,
+                static_cast<long long>(b.edges),
+                static_cast<long long>(b.kept_edges), b.sigma2_estimate,
+                b.seconds, b.reached_target ? "" : "  (NOT reached)");
   }
-  void on_block(const ssp::BlockStats& b) override {
-    if (b.block == ssp::kCutBlock) {
-      std::printf("  cut    |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f  "
-                  "%.3fs\n",
-                  b.vertices, static_cast<long long>(b.edges),
-                  static_cast<long long>(b.kept_edges), b.sigma2_estimate,
-                  b.seconds);
-    } else {
-      std::printf("  block %2lld |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f"
-                  "  %.3fs%s\n",
-                  static_cast<long long>(b.block), b.vertices,
-                  static_cast<long long>(b.edges),
-                  static_cast<long long>(b.kept_edges), b.sigma2_estimate,
-                  b.seconds, b.reached_target ? "" : "  (NOT reached)");
-    }
-    if (show_stages_) {
-      for (int s = 0; s < ssp::kNumStageKinds; ++s) {
-        const double sec = b.stage_seconds[static_cast<std::size_t>(s)];
-        if (sec > 0.0) {
-          std::printf("    stage %-17s %.4fs\n",
-                      ssp::to_string(static_cast<ssp::StageKind>(s)), sec);
-        }
-      }
-    }
-  }
-
- private:
-  bool show_stages_;
-};
+}
 
 int run_whole_graph(const ssp::cli::ArgParser& args, const ssp::Graph& g,
                     const ssp::SparsifyOptions& opts) {
   ssp::Sparsifier engine(g, opts);
-  ProgressPrinter progress(args.get("progress", "") == "stages");
-  if (args.has("progress")) engine.set_observer(&progress);
+  ProgressPrinter progress;
+  if (args.get_bool("progress", false)) engine.set_observer(&progress);
   engine.run();
   const ssp::SparsifyResult& res = engine.result();
 
@@ -130,10 +98,12 @@ int run_whole_graph(const ssp::cli::ArgParser& args, const ssp::Graph& g,
 
 int run_partitioned(const ssp::cli::ArgParser& args, const ssp::Graph& g,
                     const ssp::PartitionedOptions& opts) {
-  ssp::PartitionedSparsifier driver(g, opts);
-  ScaleProgressPrinter progress(args.get("progress", "") == "stages");
-  if (args.has("progress")) driver.set_observer(&progress);
-  const ssp::PartitionedResult& res = driver.run();
+  const bool progress = args.get_bool("progress", false);
+  const ssp::PartitionedResult res = ssp::partitioned_sparsify(g, opts);
+  if (progress) {
+    for (const ssp::BlockStats& b : res.block_stats) print_block(b);
+    if (res.cut_stats.has_value()) print_block(*res.cut_stats);
+  }
 
   std::printf("edges: %lld  density: %.4f x |V|\n",
               static_cast<long long>(res.num_edges()),
@@ -192,8 +162,11 @@ ssp::Graph extract_from_view(const ssp::GraphView& v,
 }
 
 int report_outofcore(const ssp::cli::ArgParser& args, const ssp::GraphView& v,
-                     const ssp::HierarchicalOptions& opts,
+                     const ssp::HierarchicalOptions& opts, bool progress,
                      const ssp::HierarchicalResult& res) {
+  if (progress) {
+    for (const ssp::BlockStats& b : res.leaf_stats) print_block(b);
+  }
   std::printf("edges: %lld  density: %.4f x |V|\n",
               static_cast<long long>(res.num_edges()),
               static_cast<double>(res.num_edges()) / v.num_vertices());
@@ -228,38 +201,26 @@ int run_outofcore(const ssp::cli::ArgParser& args, const std::string& in_path,
                   const ssp::SparsifyOptions& base) {
   const ssp::HierarchicalOptions opts =
       ssp::cli::hierarchical_options_from(args, base);
-  ScaleProgressPrinter progress(args.get("progress", "") == "stages");
+  const bool progress = args.get_bool("progress", false);
   if (ssp::classify_graph_source(in_path) == ssp::GraphSourceKind::kSspb) {
     const ssp::storage::MappedGraph mapped(in_path);
     std::printf("mapped %s: |V| = %d, |E| = %lld (%llu bytes)\n",
                 in_path.c_str(), mapped.num_vertices(),
                 static_cast<long long>(mapped.num_edges()),
                 static_cast<unsigned long long>(mapped.file_bytes()));
-    ssp::HierarchicalSparsifier driver(mapped.view(), opts);
-    driver.set_release_hook([&mapped] { mapped.release_pages(); });
-    if (args.has("progress")) driver.set_observer(&progress);
-    return report_outofcore(args, mapped.view(), opts, driver.run());
+    return report_outofcore(args, mapped.view(), opts, progress,
+                            ssp::hierarchical_sparsify(mapped, opts));
   }
   const ssp::Graph g = ssp::load_graph_source(in_path);
   std::printf("loaded %s: |V| = %d, |E| = %lld\n", in_path.c_str(),
               g.num_vertices(), static_cast<long long>(g.num_edges()));
-  ssp::HierarchicalSparsifier driver(g, opts);
-  if (args.has("progress")) driver.set_observer(&progress);
-  return report_outofcore(args, g, opts, driver.run());
+  return report_outofcore(args, g, opts, progress,
+                          ssp::hierarchical_sparsify(g, opts));
 }
 
-/// Streams dynamic-layer telemetry: one line per applied batch (stage
-/// breakdown with --progress=stages).
+/// Streams one line per applied batch.
 class DynamicProgressPrinter : public ssp::DynamicObserver {
  public:
-  explicit DynamicProgressPrinter(bool show_stages)
-      : show_stages_(show_stages) {}
-
-  void on_dynamic_stage(ssp::DynamicStage stage, double seconds) override {
-    if (show_stages_) {
-      std::printf("  stage %-12s %.4fs\n", ssp::to_string(stage), seconds);
-    }
-  }
   void on_update(const ssp::UpdateStats& s) override {
     std::printf("batch %3lld  +%lld -%lld ~%lld  |Es| %lld  sigma2 %8.2f%s  "
                 "%.3fs\n",
@@ -271,9 +232,6 @@ class DynamicProgressPrinter : public ssp::DynamicObserver {
                 s.sigma2_estimate, s.reached_target ? "" : " (NOT reached)",
                 s.seconds);
   }
-
- private:
-  bool show_stages_;
 };
 
 int run_dynamic(const ssp::cli::ArgParser& args, const ssp::Graph& g,
@@ -285,11 +243,12 @@ int run_dynamic(const ssp::cli::ArgParser& args, const ssp::Graph& g,
               "--update-file pins the canonical kruskal backbone; "
               "--backbone cannot be combined with it");
   const auto journal = ssp::load_update_journal(args.require("update-file"));
-  DynamicProgressPrinter progress(args.get("progress", "") == "stages");
+  DynamicProgressPrinter progress;
   // Observer attached at construction so the initial build (batch 0)
   // streams its telemetry too.
   ssp::DynamicSparsifier dyn(g, ssp::cli::dynamic_options_from(args, base),
-                             args.has("progress") ? &progress : nullptr);
+                             args.get_bool("progress", false) ? &progress
+                                                              : nullptr);
   for (const ssp::JournalBatch& batch : journal) {
     dyn.apply(ssp::resolve_journal_batch(dyn.graph(), batch));
   }
@@ -322,8 +281,9 @@ int main(int argc, char** argv) {
       "similarity-aware spectral sparsification of a Matrix Market graph");
   args.option("in", ssp::cli::kGraphSourceHelp)
       .option("out", "output .mtx for the sparsifier (optional)")
-      .option("progress", "stream per-round telemetry; `--progress stages` adds stage times", "",
-              ssp::cli::Arity::kOptional)
+      .flag("progress",
+            "print one line per round, batch, or block/leaf/cut pass; "
+            "stage times are spans in the --trace file")
       .flag("kernels", "print compiled/supported kernel backends and exit");
   ssp::cli::add_sparsify_options(args);
   ssp::cli::add_partition_options(args);
