@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Golden determinism check: runs ssp_sparsify over the checked-in fixture
-# graphs through all three execution paths — the whole-graph engine, the
-# partition-parallel scale layer, and the dynamic update layer — and
-# compares the output edge lists byte for byte (sha256) against
+# graphs through every execution path — the whole-graph engine, the scale
+# layer (partitioned under each cut policy, and out-of-core under a memory
+# budget), and the dynamic update layer — and compares the output edge lists byte for byte (sha256) against
 # tests/fixtures/golden_hashes.txt. Every path is pinned to fixed options
 # and seeds, so any hash drift is a cross-PR determinism regression.
 #
@@ -36,9 +36,16 @@ for fixture in grid8 community16; do
   in="$FIXTURES/$fixture.mtx"
   run "${fixture}_plain.mtx"     --in "$in" --sigma2 8 --seed 42
   run "${fixture}_part4.mtx"     --in "$in" --sigma2 8 --seed 42 --partitions 4
+  run "${fixture}_part4_keepall.mtx" --in "$in" --sigma2 8 --seed 42 \
+      --partitions 4 --cut-policy keep-all
+  run "${fixture}_part4_quotient.mtx" --in "$in" --sigma2 8 --seed 42 \
+      --partitions 4 --cut-policy quotient
   run "${fixture}_dynamic.mtx"   --in "$in" --sigma2 8 --seed 42 \
       --update-file "$FIXTURES/$fixture.journal"
 done
+# Out-of-core: a 1 MiB budget splits the 120x120 lattice into four leaves.
+run grid120_outofcore.mtx --in gen:grid2d:120x120:7 --memory-budget-mb 1 \
+    --sigma2 8 --seed 42
 
 cd "$WORK" || exit 1
 sha256sum ./*.mtx > observed_hashes.txt
