@@ -1,5 +1,5 @@
-// Partition-parallel sparsification (src/scale/) vs the whole-graph
-// engine: quality (condition-number / eigenvalue error against the
+// Partition-parallel sparsification (the scale driver, src/scale/) vs the
+// whole-graph engine: quality (condition-number / eigenvalue error against the
 // whole-graph sparsifier, measured with one shared estimator) and
 // wall-clock across k ∈ {1, 2, 4, 8}, plus a cut-policy sweep at k = 4.
 // k = 1 is the whole-graph engine bit for bit, so its row doubles as the
@@ -12,7 +12,7 @@
 #include "core/options_io.hpp"
 #include "core/sparsifier.hpp"
 #include "graph/generators/community.hpp"
-#include "scale/partitioned_sparsifier.hpp"
+#include "scale/hierarchical_sparsifier.hpp"
 #include "scale/quality.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -25,8 +25,8 @@ using bench::Json;
 
 constexpr double kSigma2 = 100.0;
 
-PartitionedOptions make_options(Index k, CutPolicy policy) {
-  PartitionedOptions opts;
+HierarchicalOptions make_options(Index k, CutPolicy policy) {
+  HierarchicalOptions opts;
   opts.partitions = k;
   opts.cut_policy = policy;
   opts.block.sigma2 = kSigma2;
@@ -37,10 +37,11 @@ PartitionedOptions make_options(Index k, CutPolicy policy) {
 /// `whole` is the k = 1 quality every row is compared against.
 void run_case(const Graph& g, Index k, CutPolicy policy,
               const SparsifierQuality& whole, Json& rows) {
-  PartitionedResult res;
+  HierarchicalResult res;
   const bench::StageSeconds stages = bench::StageSeconds::measure(
-      [&] { res = partitioned_sparsify(g, make_options(k, policy)); });
-  const SparsifierQuality q = estimate_sparsifier_quality(g, res.extract(g));
+      [&] { res = hierarchical_sparsify(g, make_options(k, policy)); });
+  const SparsifierQuality q =
+      estimate_sparsifier_quality(g, g.edge_subgraph(res.edges));
   const double sigma2_err = std::abs(q.sigma2 - whole.sigma2) / whole.sigma2;
   const double lmax_err =
       std::abs(q.lambda_max - whole.lambda_max) / whole.lambda_max;
@@ -49,21 +50,21 @@ void run_case(const Graph& g, Index k, CutPolicy policy,
               static_cast<long long>(k), to_string(policy),
               static_cast<long long>(res.num_edges()),
               static_cast<long long>(res.cut_edges_kept),
-              static_cast<long long>(res.cut_edges_total), q.sigma2,
+              static_cast<long long>(res.cut_edges), q.sigma2,
               sigma2_err, lmax_err, res.total_seconds);
 
   Json stage = Json::object();
   for (const char* name : {"partition", "extract", "block-sparsify",
-                           "cut-sparsify", "stitch", "quality"}) {
+                           "cut-sparsify", "stitch"}) {
     stage.set(name, stages[std::string("scale.stage.") + name]);
   }
   rows.push(Json::object()
                 .set("k", static_cast<long long>(k))
                 .set("cut_policy", to_string(policy))
-                .set("blocks", static_cast<long long>(res.blocks))
+                .set("blocks", static_cast<long long>(res.leaves))
                 .set("edges", static_cast<long long>(res.num_edges()))
                 .set("cut_edges_total",
-                     static_cast<long long>(res.cut_edges_total))
+                     static_cast<long long>(res.cut_edges))
                 .set("cut_edges_kept",
                      static_cast<long long>(res.cut_edges_kept))
                 .set("sigma2", q.sigma2)
@@ -88,9 +89,10 @@ void run_graph(const char* name, const Graph& g, bench::Report& report) {
 
   // Whole-graph baseline = the k = 1 row (bit-for-bit the same engine);
   // measure its quality once with the shared estimator.
-  const PartitionedResult base =
-      partitioned_sparsify(g, make_options(1, CutPolicy::kFilter));
-  const SparsifierQuality whole = estimate_sparsifier_quality(g, base.extract(g));
+  const HierarchicalResult base =
+      hierarchical_sparsify(g, make_options(1, CutPolicy::kFilter));
+  const SparsifierQuality whole =
+      estimate_sparsifier_quality(g, g.edge_subgraph(base.edges));
 
   Json& entry = report.section("cases").push(
       Json::object()

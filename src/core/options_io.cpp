@@ -4,7 +4,7 @@
 
 #include "core/sparsifier_engine.hpp"
 #include "dynamic/dynamic_sparsifier.hpp"
-#include "scale/partitioned_sparsifier.hpp"
+#include "scale/hierarchical_sparsifier.hpp"
 
 namespace ssp {
 

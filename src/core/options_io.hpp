@@ -12,7 +12,7 @@
 namespace ssp {
 
 enum class StageKind;     // full definition in core/sparsifier_engine.hpp
-enum class CutPolicy;     // full definition in scale/partitioned_sparsifier.hpp
+enum class CutPolicy;     // full definition in scale/hierarchical_sparsifier.hpp
 enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 
 /// "akpw" | "kruskal" | "spt"

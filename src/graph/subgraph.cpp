@@ -36,13 +36,16 @@ Subgraph induced_subgraph(const GraphView& g, std::span<const Vertex> vertices) 
 
 std::vector<Subgraph> partition_subgraphs(const GraphView& g,
                                           std::span<const Vertex> assignment,
-                                          Index num_blocks) {
+                                          Index num_blocks, Index first,
+                                          Index last) {
   SSP_REQUIRE(
       assignment.size() == static_cast<std::size_t>(g.num_vertices()),
       "partition_subgraphs: assignment size must equal num_vertices");
   SSP_REQUIRE(num_blocks >= 1, "partition_subgraphs: need >= 1 block");
+  SSP_REQUIRE(0 <= first && first <= last && last <= num_blocks,
+              "partition_subgraphs: block range out of bounds");
 
-  std::vector<Subgraph> blocks(static_cast<std::size_t>(num_blocks));
+  std::vector<Subgraph> blocks(static_cast<std::size_t>(last - first));
   // Local vertex ids per block in ascending global id order.
   std::vector<Vertex> local_id(static_cast<std::size_t>(g.num_vertices()),
                                kInvalidVertex);
@@ -50,7 +53,8 @@ std::vector<Subgraph> partition_subgraphs(const GraphView& g,
     const Vertex b = assignment[static_cast<std::size_t>(v)];
     SSP_REQUIRE(b >= 0 && static_cast<Index>(b) < num_blocks,
                 "partition_subgraphs: block id out of range");
-    auto& block = blocks[static_cast<std::size_t>(b)];
+    if (b < first || b >= last) continue;
+    auto& block = blocks[static_cast<std::size_t>(b - first)];
     local_id[static_cast<std::size_t>(v)] =
         static_cast<Vertex>(block.local_to_global.size());
     block.local_to_global.push_back(v);
@@ -62,8 +66,8 @@ std::vector<Subgraph> partition_subgraphs(const GraphView& g,
     const Edge edge = g.edge(e);
     const Vertex bu = assignment[static_cast<std::size_t>(edge.u)];
     const Vertex bv = assignment[static_cast<std::size_t>(edge.v)];
-    if (bu != bv) continue;
-    auto& block = blocks[static_cast<std::size_t>(bu)];
+    if (bu != bv || bu < first || bu >= last) continue;
+    auto& block = blocks[static_cast<std::size_t>(bu - first)];
     block.graph.add_edge(local_id[static_cast<std::size_t>(edge.u)],
                          local_id[static_cast<std::size_t>(edge.v)],
                          edge.weight);

@@ -35,13 +35,21 @@ struct Subgraph {
 [[nodiscard]] Subgraph induced_subgraph(const GraphView& g,
                                         std::span<const Vertex> vertices);
 
-/// One induced subgraph per block of `assignment` (per-vertex block id in
-/// [0, num_blocks)), built in a single pass over the edges. Local vertex
-/// ids within each block follow ascending host vertex id. Blocks may be
-/// empty (zero vertices); callers that forbid empty blocks check
-/// themselves.
+/// One induced subgraph per block id in [first, last) of `assignment`
+/// (per-vertex block id in [0, num_blocks)), built in a single pass over
+/// the edges; element i is block first + i. Local vertex ids within each
+/// block follow ascending host vertex id. Blocks may be empty (zero
+/// vertices); callers that forbid empty blocks check themselves.
 [[nodiscard]] std::vector<Subgraph> partition_subgraphs(
-    const GraphView& g, std::span<const Vertex> assignment, Index num_blocks);
+    const GraphView& g, std::span<const Vertex> assignment, Index num_blocks,
+    Index first, Index last);
+
+/// Every block of `assignment`, in block id order.
+[[nodiscard]] inline std::vector<Subgraph> partition_subgraphs(
+    const GraphView& g, std::span<const Vertex> assignment,
+    Index num_blocks) {
+  return partition_subgraphs(g, assignment, num_blocks, 0, num_blocks);
+}
 
 /// The cut graph of an assignment: vertices are the endpoints of
 /// inter-block edges (ascending host id), edges are exactly the cut edges

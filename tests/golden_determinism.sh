@@ -13,12 +13,12 @@
 
 set -u
 
-SPARSIFY="$1"
-FIXTURES="$2"
-WORK="$3"
 UPDATE="${4:-}"
-
-mkdir -p "$WORK"
+mkdir -p "$3"
+# Absolute paths: the checks below run from inside the work directory.
+SPARSIFY="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
+FIXTURES="$(cd "$2" && pwd)"
+WORK="$(cd "$3" && pwd)"
 rm -f "$WORK"/*.mtx
 
 run() { # run <output-name> <args...>
@@ -61,4 +61,21 @@ if ! diff -u "$FIXTURES/golden_hashes.txt" observed_hashes.txt; then
   echo "If the change is intentional, regenerate with --update." >&2
   exit 1
 fi
+# Boolean flags count by value: `--flag=false` keeps the plain
+# whole-graph route and its bytes (outputs kept out of the hashed set).
+mkdir -p flags
+for flag in kernels rescale estimate-quality warm-refine; do
+  if ! "$SPARSIFY" --in "$FIXTURES/grid8.mtx" --sigma2 8 --seed 42 \
+      "--$flag=false" --out "flags/$flag.mtx" > flags/log.txt 2>&1; then
+    echo "FAIL: --$flag=false exited non-zero" >&2
+    cat flags/log.txt >&2
+    exit 1
+  fi
+  if ! grep -q "^sigma2: target" flags/log.txt ||
+      ! cmp -s grid8_plain.mtx "flags/$flag.mtx"; then
+    echo "FAIL: --$flag=false left the plain whole-graph route" >&2
+    cat flags/log.txt >&2
+    exit 1
+  fi
+done
 echo "golden determinism OK ($(wc -l < observed_hashes.txt) outputs)"

@@ -107,7 +107,7 @@ TEST(Cli, FlagsAcceptEveryToolForm) {
           "--estimate-quality"});
   ArgParser p("prog", "test");
   add_sparsify_options(p);
-  add_partition_options(p);
+  add_scale_options(p);
   add_dynamic_options(p);
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_TRUE(p.get_bool("warm-refine", false));

@@ -24,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scale/hierarchical_sparsifier.hpp"
-#include "scale/partitioned_sparsifier.hpp"
 #include "serve/connection.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
@@ -376,40 +375,50 @@ TEST(Metrics, StageCountersCoverEveryLayer) {
     }
   }
 
-  // Partitioned driver: all six pipeline stages register their counter.
+  // Scale driver, partitioned: all five pipeline stages register their
+  // counter.
+  constexpr const char* kScaleStages[] = {"partition", "extract",
+                                          "block-sparsify", "cut-sparsify",
+                                          "stitch"};
   {
-    PartitionedOptions opts;
+    HierarchicalOptions opts;
     opts.partitions = 3;
+    opts.cut_policy = CutPolicy::kFilter;
     opts.block.sigma2 = 60.0;
-    opts.estimate_quality = true;
-    const PartitionedResult res =
-        partitioned_sparsify(weighted_grid(12, 14), opts);
-    ASSERT_EQ(res.blocks, 3);
-    for (const char* stage : {"partition", "extract", "block-sparsify",
-                              "cut-sparsify", "stitch", "quality"}) {
+    const HierarchicalResult res =
+        hierarchical_sparsify(weighted_grid(12, 14), opts);
+    ASSERT_EQ(res.leaves, 3);
+    for (const char* stage : kScaleStages) {
       EXPECT_TRUE(find_metric(std::string("scale.stage.") + stage + ".ns")
                       .present)
           << stage;
     }
   }
 
-  // Hierarchical driver: each leaf component engine builds one backbone,
-  // so the engine counters advance by exactly that many.
+  // Scale driver, out-of-core: the same five stage counters (the registry
+  // is cleared first, so they come from this run), and each leaf
+  // component engine builds one backbone, so the engine counters advance
+  // by exactly that many.
   {
-    const std::uint64_t before = counter("engine.stage.backbone.calls");
+    obs::reset_metrics_for_tests();
     HierarchicalOptions opts;
     opts.memory_budget_bytes = 24 << 10;  // force several leaves
     opts.block = SparsifyOptions{}.with_sigma2(30.0).with_seed(9);
     const HierarchicalResult res =
         hierarchical_sparsify(weighted_grid(24, 33), opts);
     ASSERT_GE(res.leaves, 2);
+    for (const char* stage : kScaleStages) {
+      EXPECT_TRUE(find_metric(std::string("scale.stage.") + stage + ".ns")
+                      .present)
+          << stage;
+    }
     std::uint64_t engines = 0;
     for (const BlockStats& leaf : res.leaf_stats) {
       engines += static_cast<std::uint64_t>(leaf.components -
                                             leaf.tree_components);
     }
     EXPECT_GE(engines, 2u);
-    EXPECT_EQ(counter("engine.stage.backbone.calls") - before, engines);
+    EXPECT_EQ(counter("engine.stage.backbone.calls"), engines);
   }
 
   // Dynamic layer: one batch registers all five stage counters.
@@ -424,6 +433,25 @@ TEST(Metrics, StageCountersCoverEveryLayer) {
                       .present)
           << stage;
     }
+  }
+}
+
+TEST(Metrics, ManyLeafRunKeepsTheRegistryBounded) {
+  // The registry has a fixed slot table; a metric per scale unit would
+  // fill it on a run with hundreds of leaves and drop every metric
+  // registered after it. Every stage counter of such a run must land.
+  const MetricsOn on;
+  HierarchicalOptions opts;
+  opts.memory_budget_bytes = 4 << 10;
+  opts.block = SparsifyOptions{}.with_sigma2(30.0).with_seed(3);
+  const HierarchicalResult res =
+      hierarchical_sparsify(weighted_grid(100, 23), opts);
+  ASSERT_GE(res.leaves, 512);
+  for (const char* stage : {"partition", "extract", "block-sparsify",
+                            "cut-sparsify", "stitch"}) {
+    EXPECT_TRUE(find_metric(std::string("scale.stage.") + stage + ".ns")
+                    .present)
+        << stage;
   }
 }
 

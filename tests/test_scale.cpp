@@ -1,8 +1,11 @@
-// Tests for the partition-parallel sparsification layer (src/scale/) and
+// Tests for the scale driver (src/scale/) on its partitioned routes and
 // its graph/subgraph.hpp extraction primitive: local ↔ global map round
 // trips, the k = 1 bit-for-bit contract against the whole-graph engine,
 // determinism across thread counts, cut-policy semantics, connectivity
-// preservation, and assignment validation (singleton / empty blocks).
+// preservation, assignment validation (singleton / empty blocks), and the
+// shared pipeline: a budget run's leaves fed back as an assignment, and
+// waves of one block matching one wave of all. The out-of-core routes are
+// covered in test_storage.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "core/options_io.hpp"
+#include "core/rescale.hpp"
 #include "core/sparsifier.hpp"
 #include "core/sparsifier_engine.hpp"
 #include "graph/connectivity.hpp"
@@ -18,7 +22,7 @@
 #include "graph/generators/lattice.hpp"
 #include "graph/generators/weights.hpp"
 #include "graph/subgraph.hpp"
-#include "scale/partitioned_sparsifier.hpp"
+#include "scale/hierarchical_sparsifier.hpp"
 #include "scale/quality.hpp"
 #include "util/rng.hpp"
 
@@ -123,122 +127,123 @@ TEST(Subgraph, Validation) {
                std::invalid_argument);
 }
 
-// ---- PartitionedSparsifier -------------------------------------------------
+// ---- Scale driver: partitioned routes -------------------------------------
 
-TEST(PartitionedSparsifier, K1MatchesWholeGraphBitForBit) {
+TEST(ScaleDriver, K1MatchesWholeGraphBitForBit) {
   const Graph g = weighted_grid(14, 13, 4);
   const auto engine_opts = SparsifyOptions{}.with_sigma2(60.0).with_seed(7);
   Sparsifier whole(g, engine_opts);
   whole.run();
 
-  PartitionedOptions opts;
+  HierarchicalOptions opts;
   opts.partitions = 1;
   opts.block = engine_opts;
-  PartitionedSparsifier driver(g, opts);
-  const PartitionedResult& res = driver.run();
+  HierarchicalSparsifier driver(g, opts);
+  const HierarchicalResult& res = driver.run();
 
-  EXPECT_EQ(res.blocks, 1);
+  EXPECT_EQ(res.leaves, 1);
   EXPECT_EQ(res.edges, whole.result().edges);
-  EXPECT_EQ(res.cut_edges_total, 0);
-  ASSERT_EQ(res.block_stats.size(), 1u);
-  EXPECT_DOUBLE_EQ(res.block_stats[0].sigma2_estimate,
+  EXPECT_EQ(res.cut_edges, 0);
+  ASSERT_EQ(res.leaf_stats.size(), 1u);
+  EXPECT_DOUBLE_EQ(res.leaf_stats[0].sigma2_estimate,
                    whole.result().sigma2_estimate);
 }
 
-TEST(PartitionedSparsifier, K1ViaUserAssignmentAlsoBitForBit) {
+TEST(ScaleDriver, K1ViaUserAssignmentAlsoBitForBit) {
   const Graph g = weighted_grid(10, 10, 5);
   const auto engine_opts = SparsifyOptions{}.with_sigma2(80.0).with_seed(3);
   const SparsifyResult whole = sparsify(g, engine_opts);
 
-  PartitionedOptions opts;
+  HierarchicalOptions opts;
   opts.block = engine_opts;
   std::vector<Vertex> assignment(static_cast<std::size_t>(g.num_vertices()),
                                  0);
-  PartitionedSparsifier driver(g, std::move(assignment), opts);
+  HierarchicalSparsifier driver(g, std::move(assignment), opts);
   EXPECT_EQ(driver.run().edges, whole.edges);
 }
 
-TEST(PartitionedSparsifier, DeterministicAcrossThreadCounts) {
+TEST(ScaleDriver, DeterministicAcrossThreadCounts) {
   const Graph g = weighted_grid(16, 12, 6);
   for (const CutPolicy policy :
        {CutPolicy::kKeepAll, CutPolicy::kFilter, CutPolicy::kQuotient}) {
     std::vector<std::vector<EdgeId>> runs;
     for (const int threads : {1, 2, 4}) {
-      PartitionedOptions opts;
+      HierarchicalOptions opts;
       opts.partitions = 4;
       opts.cut_policy = policy;
       opts.threads = threads;
       opts.block.sigma2 = 50.0;
-      runs.push_back(partitioned_sparsify(g, opts).edges);
+      runs.push_back(hierarchical_sparsify(g, opts).edges);
     }
     EXPECT_EQ(runs[0], runs[1]) << "policy " << to_string(policy);
     EXPECT_EQ(runs[0], runs[2]) << "policy " << to_string(policy);
   }
 }
 
-TEST(PartitionedSparsifier, ConnectivityPreservedEveryPolicy) {
+TEST(ScaleDriver, ConnectivityPreservedEveryPolicy) {
   Rng rng(8);
   const Graph g = planted_partition(240, 4, 0.12, 0.01, rng);
   for (const CutPolicy policy :
        {CutPolicy::kKeepAll, CutPolicy::kFilter, CutPolicy::kQuotient}) {
-    PartitionedOptions opts;
+    HierarchicalOptions opts;
     opts.partitions = 4;
     opts.cut_policy = policy;
     opts.block.sigma2 = 40.0;
-    const PartitionedResult res = partitioned_sparsify(g, opts);
-    const Graph p = res.extract(g);
+    const HierarchicalResult res = hierarchical_sparsify(g, opts);
+    const Graph p = g.edge_subgraph(res.edges);
     EXPECT_TRUE(is_connected(p)) << "policy " << to_string(policy);
     EXPECT_GE(res.num_edges(),
               static_cast<EdgeId>(g.num_vertices()) - 1);
   }
 }
 
-TEST(PartitionedSparsifier, CutPolicySemantics) {
+TEST(ScaleDriver, CutPolicySemantics) {
   const Graph g = weighted_grid(12, 12, 9);
-  PartitionedOptions keep;
+  HierarchicalOptions keep;
   keep.partitions = 4;
   keep.cut_policy = CutPolicy::kKeepAll;
   keep.block.sigma2 = 60.0;
-  const PartitionedResult res_keep = partitioned_sparsify(g, keep);
-  EXPECT_GT(res_keep.cut_edges_total, 0);
-  EXPECT_EQ(res_keep.cut_edges_kept, res_keep.cut_edges_total);
+  const HierarchicalResult res_keep = hierarchical_sparsify(g, keep);
+  EXPECT_GT(res_keep.cut_edges, 0);
+  EXPECT_EQ(res_keep.cut_edges_kept, res_keep.cut_edges);
 
-  PartitionedOptions filter = keep;
+  HierarchicalOptions filter = keep;
   filter.cut_policy = CutPolicy::kFilter;
-  const PartitionedResult res_filter = partitioned_sparsify(g, filter);
-  EXPECT_LE(res_filter.cut_edges_kept, res_filter.cut_edges_total);
+  const HierarchicalResult res_filter = hierarchical_sparsify(g, filter);
+  EXPECT_LE(res_filter.cut_edges_kept, res_filter.cut_edges);
   EXPECT_GT(res_filter.cut_edges_kept, 0);
   ASSERT_TRUE(res_filter.cut_stats.has_value());
   EXPECT_EQ(res_filter.cut_stats->block, kCutBlock);
-  EXPECT_EQ(res_filter.cut_stats->edges, res_filter.cut_edges_total);
+  EXPECT_EQ(res_filter.cut_stats->edges, res_filter.cut_edges);
 
-  PartitionedOptions quotient = keep;
+  HierarchicalOptions quotient = keep;
   quotient.cut_policy = CutPolicy::kQuotient;
-  const PartitionedResult res_q = partitioned_sparsify(g, quotient);
+  const HierarchicalResult res_q = hierarchical_sparsify(g, quotient);
   // At most one representative per unordered block pair, plus any
   // connectivity repairs (bounded by blocks - 1 extra bridges).
-  const Index k = res_q.blocks;
+  const Index k = res_q.leaves;
   EXPECT_LE(res_q.cut_edges_kept, k * (k - 1) / 2 + (k - 1));
-  EXPECT_TRUE(is_connected(res_q.extract(g)));
+  EXPECT_TRUE(is_connected(g.edge_subgraph(res_q.edges)));
   // Quotient keeps the fewest cut edges of the three policies.
   EXPECT_LE(res_q.cut_edges_kept, res_filter.cut_edges_kept);
 }
 
-TEST(PartitionedSparsifier, DisconnectedInputKeepsComponents) {
+TEST(ScaleDriver, DisconnectedInputKeepsComponents) {
   const Graph g = two_component_graph();
   EXPECT_FALSE(is_connected(g));
-  PartitionedOptions opts;
+  HierarchicalOptions opts;
+  opts.cut_policy = CutPolicy::kFilter;
   opts.partitions = 4;
   opts.block.sigma2 = 50.0;
-  const PartitionedResult res = partitioned_sparsify(g, opts);
-  const Graph p = res.extract(g);
+  const HierarchicalResult res = hierarchical_sparsify(g, opts);
+  const Graph p = g.edge_subgraph(res.edges);
   EXPECT_EQ(connected_components(p).num_components,
             connected_components(g).num_components);
   // The whole-graph engine rejects this input outright.
   EXPECT_THROW((void)sparsify(g, opts.block), std::invalid_argument);
 }
 
-TEST(PartitionedSparsifier, SingletonBlocksWorkEmptyBlocksThrow) {
+TEST(ScaleDriver, SingletonBlocksWorkEmptyBlocksThrow) {
   const Graph g = weighted_grid(6, 6, 10);
   const auto n = static_cast<std::size_t>(g.num_vertices());
 
@@ -246,57 +251,60 @@ TEST(PartitionedSparsifier, SingletonBlocksWorkEmptyBlocksThrow) {
   std::vector<Vertex> singleton(n, 0);
   singleton[0] = 1;
   singleton[n - 1] = 2;
-  PartitionedOptions opts;
+  HierarchicalOptions opts;
+  opts.cut_policy = CutPolicy::kFilter;
   opts.block.sigma2 = 60.0;
-  PartitionedSparsifier driver(g, singleton, opts);
-  const PartitionedResult& res = driver.run();
-  EXPECT_EQ(res.blocks, 3);
-  EXPECT_TRUE(is_connected(res.extract(g)));
-  EXPECT_EQ(res.block_stats[1].vertices, 1);
-  EXPECT_EQ(res.block_stats[1].kept_edges, 0);
+  HierarchicalSparsifier driver(g, singleton, opts);
+  const HierarchicalResult& res = driver.run();
+  EXPECT_EQ(res.leaves, 3);
+  EXPECT_TRUE(is_connected(g.edge_subgraph(res.edges)));
+  EXPECT_EQ(res.leaf_stats[1].vertices, 1);
+  EXPECT_EQ(res.leaf_stats[1].kept_edges, 0);
 
   // Block id 1 of [0, 3) has no vertices: rejected.
   std::vector<Vertex> with_hole(n, 0);
   with_hole[0] = 2;
-  EXPECT_THROW(PartitionedSparsifier(g, with_hole, opts),
+  EXPECT_THROW(HierarchicalSparsifier(g, with_hole, opts),
                std::invalid_argument);
   // Negative ids and size mismatches: rejected.
   std::vector<Vertex> negative(n, 0);
   negative[3] = -2;
-  EXPECT_THROW(PartitionedSparsifier(g, negative, opts),
+  EXPECT_THROW(HierarchicalSparsifier(g, negative, opts),
                std::invalid_argument);
-  EXPECT_THROW(PartitionedSparsifier(g, std::vector<Vertex>(n - 1, 0), opts),
+  EXPECT_THROW(HierarchicalSparsifier(g, std::vector<Vertex>(n - 1, 0), opts),
                std::invalid_argument);
 }
 
-TEST(PartitionedSparsifier, TreeInputKeptVerbatim) {
+TEST(ScaleDriver, TreeInputKeptVerbatim) {
   Rng rng(13);
   const Graph g = path_graph(40, WeightModel::uniform(0.5, 2.0), &rng);
   std::vector<Vertex> assignment(40, 0);
   for (Vertex v = 20; v < 40; ++v) assignment[static_cast<std::size_t>(v)] = 1;
-  PartitionedOptions opts;
-  PartitionedSparsifier driver(g, assignment, opts);
-  const PartitionedResult& res = driver.run();
+  HierarchicalOptions opts;
+  opts.cut_policy = CutPolicy::kFilter;
+  HierarchicalSparsifier driver(g, assignment, opts);
+  const HierarchicalResult& res = driver.run();
   // Every component is a tree (kept verbatim) and the single cut edge is a
   // one-edge tree itself: the sparsifier is the whole path.
   EXPECT_EQ(res.num_edges(), g.num_edges());
-  EXPECT_EQ(res.block_stats[0].tree_components, 1);
-  EXPECT_EQ(res.block_stats[1].tree_components, 1);
-  EXPECT_DOUBLE_EQ(res.block_stats[0].sigma2_estimate, 1.0);
+  EXPECT_EQ(res.leaf_stats[0].tree_components, 1);
+  EXPECT_EQ(res.leaf_stats[1].tree_components, 1);
+  EXPECT_DOUBLE_EQ(res.leaf_stats[0].sigma2_estimate, 1.0);
 }
 
-TEST(PartitionedSparsifier, BlockStatsInIdOrderThenCutPass) {
+TEST(ScaleDriver, BlockStatsInIdOrderThenCutPass) {
   // Stage coverage is checked on the obs counters (test_obs,
   // Metrics.StageCountersCoverEveryLayer); the per-block records stay here.
   const Graph g = weighted_grid(12, 10, 14);
-  PartitionedOptions opts;
+  HierarchicalOptions opts;
+  opts.cut_policy = CutPolicy::kFilter;
   opts.partitions = 3;
   opts.block.sigma2 = 60.0;
-  const PartitionedResult res = partitioned_sparsify(g, opts);
+  const HierarchicalResult res = hierarchical_sparsify(g, opts);
 
-  ASSERT_EQ(res.block_stats.size(), static_cast<std::size_t>(res.blocks));
-  for (Index b = 0; b < res.blocks; ++b) {
-    const BlockStats& stats = res.block_stats[static_cast<std::size_t>(b)];
+  ASSERT_EQ(res.leaf_stats.size(), static_cast<std::size_t>(res.leaves));
+  for (Index b = 0; b < res.leaves; ++b) {
+    const BlockStats& stats = res.leaf_stats[static_cast<std::size_t>(b)];
     EXPECT_EQ(stats.block, b);
     EXPECT_GE(stats.seconds, 0.0);
     EXPECT_GE(stats.components, 1);
@@ -305,37 +313,45 @@ TEST(PartitionedSparsifier, BlockStatsInIdOrderThenCutPass) {
   EXPECT_EQ(res.cut_stats->block, kCutBlock);
 }
 
-TEST(PartitionedSparsifier, QualityAndRescale) {
+TEST(ScaleDriver, QualityAndRescale) {
+  // Global quality and the rescale stage run on the stitched sparsifier,
+  // outside the driver (as ssp_sparsify --rescale does).
   const Graph g = weighted_grid(13, 11, 15);
-  PartitionedOptions opts;
+  HierarchicalOptions opts;
   opts.partitions = 3;
+  opts.cut_policy = CutPolicy::kFilter;
   opts.block.sigma2 = 40.0;
-  opts.rescale = true;  // implies the quality estimate
-  const PartitionedResult res = partitioned_sparsify(g, opts);
-  ASSERT_TRUE(res.quality.has_value());
-  EXPECT_GT(res.quality->lambda_min, 0.0);
-  EXPECT_GE(res.quality->lambda_max, res.quality->lambda_min);
-  EXPECT_GE(res.quality->sigma2, 1.0 - 1e-9);
-  ASSERT_TRUE(res.rescaled.has_value());
-  EXPECT_GT(res.rescaled->scale, 0.0);
-  EXPECT_EQ(res.rescaled->sparsifier.num_edges(), res.num_edges());
-  EXPECT_NEAR(res.rescaled->sigma2_after,
-              std::sqrt(res.rescaled->sigma2_before), 1e-9);
+  const HierarchicalResult res = hierarchical_sparsify(g, opts);
+  const Graph p = g.edge_subgraph(res.edges);
+  QualityOptions qopts;
+  qopts.seed = opts.block.seed;
+  const SparsifierQuality quality = estimate_sparsifier_quality(g, p, qopts);
+  EXPECT_GT(quality.lambda_min, 0.0);
+  EXPECT_GE(quality.lambda_max, quality.lambda_min);
+  EXPECT_GE(quality.sigma2, 1.0 - 1e-9);
+  SparsifyResult synth;
+  synth.edges = res.edges;
+  synth.lambda_min = quality.lambda_min;
+  synth.lambda_max = quality.lambda_max;
+  synth.sigma2_estimate = quality.sigma2;
+  const RescaleResult rescaled = rescale_sparsifier(g, synth);
+  EXPECT_GT(rescaled.scale, 0.0);
+  EXPECT_EQ(rescaled.sparsifier.num_edges(), res.num_edges());
+  EXPECT_NEAR(rescaled.sigma2_after, std::sqrt(rescaled.sigma2_before), 1e-9);
   // The stitched sparsifier satisfies the κ definition sanity bound.
-  const SparsifierQuality direct =
-      estimate_sparsifier_quality(g, res.extract(g));
+  const SparsifierQuality direct = estimate_sparsifier_quality(g, p);
   EXPECT_GT(direct.sigma2, 0.0);
 }
 
-TEST(PartitionedSparsifier, BlockStatsAccountForEveryKeptEdge) {
+TEST(ScaleDriver, BlockStatsAccountForEveryKeptEdge) {
   const Graph g = weighted_grid(11, 9, 16);
-  PartitionedOptions opts;
+  HierarchicalOptions opts;
   opts.partitions = 4;
   opts.cut_policy = CutPolicy::kKeepAll;
   opts.block.sigma2 = 70.0;
-  const PartitionedResult res = partitioned_sparsify(g, opts);
+  const HierarchicalResult res = hierarchical_sparsify(g, opts);
   EdgeId block_kept = 0;
-  for (const BlockStats& stats : res.block_stats) {
+  for (const BlockStats& stats : res.leaf_stats) {
     block_kept += stats.kept_edges;
   }
   EXPECT_EQ(block_kept + res.cut_edges_kept, res.num_edges());
@@ -343,6 +359,55 @@ TEST(PartitionedSparsifier, BlockStatsAccountForEveryKeptEdge) {
   std::vector<EdgeId> sorted = res.edges;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+}
+
+// ---- Scale driver: one pipeline for every split source --------------------
+
+TEST(ScaleDriver, BudgetLeavesFedBackAsAssignmentReproduceTheRun) {
+  const Graph g = weighted_grid(24, 22, 17);
+  HierarchicalOptions opts;
+  opts.memory_budget_bytes = 24 << 10;  // several leaves
+  opts.block = SparsifyOptions{}.with_sigma2(30.0).with_seed(9);
+  const HierarchicalResult budget_run = hierarchical_sparsify(g, opts);
+  ASSERT_GT(budget_run.leaves, 2);
+
+  std::vector<Vertex> leaves =
+      HierarchicalSparsifier::budget_split(g, opts.memory_budget_bytes);
+  EXPECT_EQ(*std::max_element(leaves.begin(), leaves.end()) + 1,
+            budget_run.leaves);
+  HierarchicalOptions assigned = opts;
+  assigned.memory_budget_bytes = 0;
+  assigned.cut_policy = CutPolicy::kKeepAll;
+  HierarchicalSparsifier driver(g, std::move(leaves), assigned);
+  const HierarchicalResult& res = driver.run();
+  EXPECT_EQ(res.edges, budget_run.edges);
+  EXPECT_EQ(res.leaves, budget_run.leaves);
+  EXPECT_EQ(res.cut_edges, budget_run.cut_edges);
+}
+
+TEST(ScaleDriver, OneBlockPerWaveMatchesTheUnboundedRun) {
+  const Graph g = weighted_grid(18, 16, 18);
+  for (const CutPolicy policy :
+       {CutPolicy::kKeepAll, CutPolicy::kFilter, CutPolicy::kQuotient}) {
+    HierarchicalOptions unbounded;
+    unbounded.partitions = 4;
+    unbounded.cut_policy = policy;
+    unbounded.block.sigma2 = 50.0;
+    const HierarchicalResult all = hierarchical_sparsify(g, unbounded);
+    ASSERT_EQ(all.leaves, 4);
+
+    // A budget below any block's estimate: each wave holds one block.
+    HierarchicalOptions tight = unbounded;
+    tight.memory_budget_bytes = 1;
+    int waves = 0;
+    HierarchicalSparsifier driver(g, tight);
+    driver.set_release_hook([&waves] { ++waves; });
+    const HierarchicalResult& res = driver.run();
+    // Hook calls: after ordering, after split + cut scan, after each wave.
+    EXPECT_EQ(waves, 2 + 4) << to_string(policy);
+    EXPECT_EQ(res.edges, all.edges) << to_string(policy);
+    EXPECT_EQ(res.cut_edges_kept, all.cut_edges_kept) << to_string(policy);
+  }
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 /// optional value. It also does typed lookup with defaults,
 /// required-argument checks, and usage text generation; the
 /// helpers below it declare each shared flag set exactly once
-/// (--threads/--seed, the SparsifyOptions surface, and the
-/// partition-parallel --partitions/--cut-policy group) so the four tools
-/// stay in sync.
+/// (--threads/--seed, the SparsifyOptions surface, and the scale group
+/// --partitions/--cut-policy/--memory-budget-mb) so the four tools stay in
+/// sync.
 
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scale/hierarchical_sparsifier.hpp"
-#include "scale/partitioned_sparsifier.hpp"
 #include "serve/server.hpp"
 #include "util/parallel.hpp"
 
@@ -279,9 +278,9 @@ inline ArgParser& add_sparsify_options(ArgParser& args) {
       .with_seed(seed_from(args));
 }
 
-/// Registers the partition-parallel flag group (src/scale/) — declared
-/// once here for every tool that sparsifies.
-inline ArgParser& add_partition_options(ArgParser& args) {
+/// Registers the scale-layer flag group (scale/hierarchical_sparsifier.hpp)
+/// — declared once here for every tool that sparsifies.
+inline ArgParser& add_scale_options(ArgParser& args) {
   return args
       .option("partitions",
               "partition-parallel blocks k (1 = whole-graph engine)", "1")
@@ -291,20 +290,30 @@ inline ArgParser& add_partition_options(ArgParser& args) {
       .flag("estimate-quality",
             "estimate global (λ_min, λ_max, σ²) of the stitched sparsifier")
       .flag("rescale",
-            "apply the scalar rescale stage to the stitched sparsifier");
+            "apply the scalar rescale stage to the stitched sparsifier")
+      .option("memory-budget-mb",
+              "out-of-core mode: sparsify leaf by leaf, holding leaf "
+              "subgraphs of at most this many MiB at a time (0 = in-core)",
+              "0");
 }
 
-/// Builds PartitionedOptions from the flags registered by
-/// add_partition_options, with `block` as the per-block engine options.
-[[nodiscard]] inline PartitionedOptions partitioned_options_from(
+/// Builds HierarchicalOptions from the flags registered by
+/// add_scale_options, with `block` as the per-unit engine options. A
+/// memory budget keeps every cut edge (the out-of-core route, which takes
+/// no partition flags); otherwise --cut-policy applies.
+[[nodiscard]] inline HierarchicalOptions scale_options_from(
     const ArgParser& args, const SparsifyOptions& block) {
-  PartitionedOptions opts;
+  const long long budget_mb = args.get_int("memory-budget-mb", 0);
+  const std::uint64_t budget =
+      budget_mb > 0 ? static_cast<std::uint64_t>(budget_mb) << 20 : 0;
+  HierarchicalOptions opts;
   opts.with_partitions(args.get_int("partitions", 1))
-      .with_cut_policy(parse_cut_policy(args.get("cut-policy", "filter")))
+      .with_memory_budget_bytes(budget)
       .with_block_options(block)
-      .with_threads(block.threads)
-      .with_estimate_quality(args.get_bool("estimate-quality", false))
-      .with_rescale(args.get_bool("rescale", false));
+      .with_threads(block.threads);
+  if (budget == 0) {
+    opts.with_cut_policy(parse_cut_policy(args.get("cut-policy", "filter")));
+  }
   const double cut_sigma2 = args.get_double("cut-sigma2", 0.0);
   if (cut_sigma2 > 0.0) {
     opts.with_cut_options(SparsifyOptions(block).with_sigma2(cut_sigma2));
@@ -323,29 +332,6 @@ inline constexpr const char* kGraphSourceHelp =
 /// (.mtx / .sspb / gen: spec) as a heap graph.
 [[nodiscard]] inline Graph load_graph_arg(const ArgParser& args) {
   return load_graph_source(args.require("in"));
-}
-
-/// Registers the out-of-core flag group (scale/hierarchical_sparsifier.hpp).
-inline ArgParser& add_outofcore_options(ArgParser& args) {
-  return args
-      .option("memory-budget-mb",
-              "out-of-core mode: sparsify hierarchically, one leaf "
-              "subgraph under this many MiB at a time (0 = in-core)", "0")
-      .option("oc-max-depth",
-              "out-of-core split recursion limit", "48");
-}
-
-/// Builds HierarchicalOptions from the flags registered by
-/// add_outofcore_options, with `block` as the per-leaf engine options.
-[[nodiscard]] inline HierarchicalOptions hierarchical_options_from(
-    const ArgParser& args, const SparsifyOptions& block) {
-  return HierarchicalOptions{}
-      .with_memory_budget_bytes(
-          static_cast<std::uint64_t>(args.get_int("memory-budget-mb", 0))
-          << 20)
-      .with_block_options(block)
-      .with_threads(block.threads)
-      .with_max_depth(args.get_int("oc-max-depth", 48));
 }
 
 /// Registers the dynamic-update flag group (src/dynamic/) — the

@@ -8,14 +8,14 @@
 // `--in` accepts a SuiteSparse-style .mtx (converted per the paper's §4
 // rule), a converted `.sspb` binary (ssp_convert; mmap-backed), or a
 // `gen:<family>` generator spec. The graph runs through the staged
-// ssp::Sparsifier engine — or, with --partitions k > 1, through the
-// partition-parallel scale layer (one engine per block, concurrent,
-// bit-identical for every --threads value) — or, with --update-file,
-// through the dynamic update layer, replaying an insert/delete/reweight
-// journal batch by batch and re-sparsifying incrementally after each
-// commit — or, with --memory-budget-mb, through the out-of-core
-// hierarchical layer, which keeps at most one leaf subgraph on the heap
-// at a time (a `.sspb` input is never materialized whole). Writes the
+// ssp::Sparsifier engine — or, with a scale flag, through the scale layer
+// (scale/hierarchical_sparsifier.hpp): --partitions k splits it into k
+// blocks, --memory-budget-mb into leaves that fit the budget (a `.sspb`
+// input is never materialized whole); one engine per component of each
+// block or leaf, bit-identical for every --threads value — or, with
+// --update-file, through the dynamic update layer, replaying an
+// insert/delete/reweight journal batch by batch and re-sparsifying
+// incrementally after each commit. Writes the
 // (final) sparsifier back as a symmetric .mtx and prints a
 // machine-greppable stats block. --progress prints one line per round
 // (whole graph, live), per batch (dynamic, live) or per block / leaf / cut
@@ -24,19 +24,23 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "cli.hpp"
 #include "core/options_io.hpp"
+#include "core/rescale.hpp"
 #include "core/sparsifier.hpp"
 #include "core/sparsifier_engine.hpp"
 #include "dynamic/dynamic_sparsifier.hpp"
 #include "dynamic/update_journal.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/graph_source.hpp"
 #include "graph/mtx_io.hpp"
 #include "la/kernels/kernels.hpp"
 #include "scale/hierarchical_sparsifier.hpp"
-#include "scale/partitioned_sparsifier.hpp"
+#include "scale/quality.hpp"
 #include "storage/mapped_graph.hpp"
 
 namespace {
@@ -96,56 +100,6 @@ int run_whole_graph(const ssp::cli::ArgParser& args, const ssp::Graph& g,
   return res.reached_target ? 0 : 2;
 }
 
-int run_partitioned(const ssp::cli::ArgParser& args, const ssp::Graph& g,
-                    const ssp::PartitionedOptions& opts) {
-  const bool progress = args.get_bool("progress", false);
-  const ssp::PartitionedResult res = ssp::partitioned_sparsify(g, opts);
-  if (progress) {
-    for (const ssp::BlockStats& b : res.block_stats) print_block(b);
-    if (res.cut_stats.has_value()) print_block(*res.cut_stats);
-  }
-
-  std::printf("edges: %lld  density: %.4f x |V|\n",
-              static_cast<long long>(res.num_edges()),
-              static_cast<double>(res.num_edges()) / g.num_vertices());
-  std::printf("blocks: %lld (policy %s)  cut edges kept %lld / %lld\n",
-              static_cast<long long>(res.blocks),
-              ssp::to_string(res.cut_policy),
-              static_cast<long long>(res.cut_edges_kept),
-              static_cast<long long>(res.cut_edges_total));
-  bool reached = true;
-  double worst_sigma2 = 0.0;
-  for (const ssp::BlockStats& b : res.block_stats) {
-    reached = reached && b.reached_target;
-    worst_sigma2 = std::max(worst_sigma2, b.sigma2_estimate);
-  }
-  if (res.cut_stats.has_value()) {
-    reached = reached && res.cut_stats->reached_target;
-  }
-  std::printf("block sigma2: target %.3f, worst estimate %.3f (%s)\n",
-              opts.block.sigma2, worst_sigma2,
-              reached ? "reached" : "NOT reached");
-  if (res.quality.has_value()) {
-    std::printf("global: lambda_min %.6f lambda_max %.3f sigma2 %.3f\n",
-                res.quality->lambda_min, res.quality->lambda_max,
-                res.quality->sigma2);
-  }
-  if (res.rescaled.has_value()) {
-    std::printf("rescale: scale %.6e, two-sided sigma2 %.3f -> %.3f\n",
-                res.rescaled->scale, res.rescaled->sigma2_before,
-                res.rescaled->sigma2_after);
-  }
-  std::printf("time %.3fs\n", res.total_seconds);
-
-  if (args.has("out")) {
-    const ssp::Graph p = res.rescaled.has_value() ? res.rescaled->sparsifier
-                                                  : res.extract(g);
-    ssp::save_graph_mtx(args.get("out", ""), p);
-    std::printf("wrote %s\n", args.get("out", "").c_str());
-  }
-  return reached ? 0 : 2;
-}
-
 /// Materializes the sparsifier `edges` of a view as a finalized heap
 /// graph in the listed order — the view-side twin of
 /// `Graph::edge_subgraph`, so the written .mtx is byte-identical between
@@ -161,19 +115,48 @@ ssp::Graph extract_from_view(const ssp::GraphView& v,
   return p;
 }
 
-int report_outofcore(const ssp::cli::ArgParser& args, const ssp::GraphView& v,
-                     const ssp::HierarchicalOptions& opts, bool progress,
-                     const ssp::HierarchicalResult& res) {
-  if (progress) {
+/// Scale-layer route (partitioned or out-of-core): a `.sspb` input under
+/// a memory budget stays mmap'd (pages released between waves); any other
+/// source loads once onto the heap. The global quality estimate and the
+/// rescale stage run here, on the stitched sparsifier of a heap graph.
+int run_scale(const ssp::cli::ArgParser& args, const std::string& in_path,
+              const ssp::SparsifyOptions& base) {
+  const ssp::HierarchicalOptions opts =
+      ssp::cli::scale_options_from(args, base);
+  std::optional<ssp::storage::MappedGraph> mapped;
+  std::optional<ssp::Graph> heap;
+  if (opts.memory_budget_bytes > 0 &&
+      ssp::classify_graph_source(in_path) == ssp::GraphSourceKind::kSspb) {
+    mapped.emplace(in_path);
+    std::printf("mapped %s: |V| = %d, |E| = %lld (%llu bytes)\n",
+                in_path.c_str(), mapped->num_vertices(),
+                static_cast<long long>(mapped->num_edges()),
+                static_cast<unsigned long long>(mapped->file_bytes()));
+  } else {
+    heap.emplace(ssp::load_graph_source(in_path));
+    std::printf("loaded %s: |V| = %d, |E| = %lld\n", in_path.c_str(),
+                heap->num_vertices(),
+                static_cast<long long>(heap->num_edges()));
+  }
+  const ssp::GraphView v = mapped ? mapped->view() : ssp::GraphView(*heap);
+  const ssp::HierarchicalResult res =
+      mapped ? ssp::hierarchical_sparsify(*mapped, opts)
+             : ssp::hierarchical_sparsify(*heap, opts);
+
+  if (args.get_bool("progress", false)) {
     for (const ssp::BlockStats& b : res.leaf_stats) print_block(b);
+    if (res.cut_stats.has_value()) print_block(*res.cut_stats);
   }
   std::printf("edges: %lld  density: %.4f x |V|\n",
               static_cast<long long>(res.num_edges()),
               static_cast<double>(res.num_edges()) / v.num_vertices());
-  std::printf("leaves: %lld (depth %lld%s)  cut edges kept %lld\n",
+  std::printf("leaves: %lld (depth %lld%s)  cut policy %s, cut edges kept "
+              "%lld / %lld\n",
               static_cast<long long>(res.leaves),
               static_cast<long long>(res.depth),
               res.whole_graph ? ", whole-graph" : "",
+              ssp::to_string(opts.cut_policy),
+              static_cast<long long>(res.cut_edges_kept),
               static_cast<long long>(res.cut_edges));
   bool reached = true;
   double worst_sigma2 = 0.0;
@@ -181,41 +164,47 @@ int report_outofcore(const ssp::cli::ArgParser& args, const ssp::GraphView& v,
     reached = reached && b.reached_target;
     worst_sigma2 = std::max(worst_sigma2, b.sigma2_estimate);
   }
+  if (res.cut_stats.has_value()) {
+    reached = reached && res.cut_stats->reached_target;
+  }
   std::printf("leaf sigma2: target %.3f, worst estimate %.3f (%s)\n",
               opts.block.sigma2, worst_sigma2,
               reached ? "reached" : "NOT reached");
+
+  // The pencil spectrum (and the spanning-tree preconditioner behind the
+  // λ_max estimate) needs one component; a disconnected input reports no
+  // global quality. The route check keeps these flags off mmap'd inputs.
+  std::optional<ssp::Graph> rescaled;
+  const bool rescale = args.get_bool("rescale", false);
+  if ((rescale || args.get_bool("estimate-quality", false)) &&
+      ssp::is_connected(*heap)) {
+    ssp::QualityOptions qopts;
+    qopts.seed = base.seed;
+    const ssp::SparsifierQuality q = ssp::estimate_sparsifier_quality(
+        *heap, heap->edge_subgraph(res.edges), qopts);
+    std::printf("global: lambda_min %.6f lambda_max %.3f sigma2 %.3f\n",
+                q.lambda_min, q.lambda_max, q.sigma2);
+    if (rescale) {
+      ssp::SparsifyResult synth;
+      synth.edges = res.edges;
+      synth.lambda_min = q.lambda_min;
+      synth.lambda_max = q.lambda_max;
+      synth.sigma2_estimate = q.sigma2;
+      ssp::RescaleResult r = ssp::rescale_sparsifier(*heap, synth);
+      std::printf("rescale: scale %.6e, two-sided sigma2 %.3f -> %.3f\n",
+                  r.scale, r.sigma2_before, r.sigma2_after);
+      rescaled = std::move(r.sparsifier);
+    }
+  }
   std::printf("time %.3fs\n", res.total_seconds);
 
   if (args.has("out")) {
-    const ssp::Graph p = extract_from_view(v, res.edges);
+    const ssp::Graph p = rescaled ? std::move(*rescaled)
+                                  : extract_from_view(v, res.edges);
     ssp::save_graph_mtx(args.get("out", ""), p);
     std::printf("wrote %s\n", args.get("out", "").c_str());
   }
   return reached ? 0 : 2;
-}
-
-/// Out-of-core routing: a `.sspb` input stays mmap'd (pages released
-/// between leaves); other sources load once onto the heap and run through
-/// the same hierarchy, so the budget still bounds the per-leaf engines.
-int run_outofcore(const ssp::cli::ArgParser& args, const std::string& in_path,
-                  const ssp::SparsifyOptions& base) {
-  const ssp::HierarchicalOptions opts =
-      ssp::cli::hierarchical_options_from(args, base);
-  const bool progress = args.get_bool("progress", false);
-  if (ssp::classify_graph_source(in_path) == ssp::GraphSourceKind::kSspb) {
-    const ssp::storage::MappedGraph mapped(in_path);
-    std::printf("mapped %s: |V| = %d, |E| = %lld (%llu bytes)\n",
-                in_path.c_str(), mapped.num_vertices(),
-                static_cast<long long>(mapped.num_edges()),
-                static_cast<unsigned long long>(mapped.file_bytes()));
-    return report_outofcore(args, mapped.view(), opts, progress,
-                            ssp::hierarchical_sparsify(mapped, opts));
-  }
-  const ssp::Graph g = ssp::load_graph_source(in_path);
-  std::printf("loaded %s: |V| = %d, |E| = %lld\n", in_path.c_str(),
-              g.num_vertices(), static_cast<long long>(g.num_edges()));
-  return report_outofcore(args, g, opts, progress,
-                          ssp::hierarchical_sparsify(g, opts));
 }
 
 /// Streams one line per applied batch.
@@ -286,12 +275,11 @@ int main(int argc, char** argv) {
             "stage times are spans in the --trace file")
       .flag("kernels", "print compiled/supported kernel backends and exit");
   ssp::cli::add_sparsify_options(args);
-  ssp::cli::add_partition_options(args);
+  ssp::cli::add_scale_options(args);
   ssp::cli::add_dynamic_options(args);
-  ssp::cli::add_outofcore_options(args);
   ssp::cli::add_trace_option(args);
   return ssp::cli::run_tool(args, argc, argv, [&args] {
-    if (args.has("kernels")) {
+    if (args.get_bool("kernels", false)) {
       // Capability probe for scripts (tests/kernel_parity.sh): one line
       // per compiled backend, "+" when the running CPU supports it, and
       // the backend SSP_KERNEL_BACKEND currently resolves to.
@@ -314,16 +302,17 @@ int main(int argc, char** argv) {
     const std::string trace_path = ssp::cli::apply_trace(args);
     const std::string in_path = args.require("in");
     const ssp::SparsifyOptions opts = ssp::cli::sparsify_options_from(args);
-    // Any scale-layer flag routes through PartitionedSparsifier (whose
-    // k = 1 path is the whole-graph engine bit for bit), so
-    // --estimate-quality / --rescale / --cut-policy are honoured — and
-    // every scale flag, --partitions included, is validated.
+    // Any scale flag routes through the scale driver (whose one-unit path
+    // is the whole-graph engine bit for bit), so every scale flag is
+    // honoured and validated. Boolean flags count by value: `--rescale=false`
+    // selects nothing.
     const bool partitioned = args.has("partitions") ||
                              args.has("cut-policy") ||
                              args.has("cut-sigma2") ||
-                             args.has("estimate-quality") ||
-                             args.has("rescale");
-    const bool dynamic = args.has("update-file") || args.has("warm-refine");
+                             args.get_bool("estimate-quality", false) ||
+                             args.get_bool("rescale", false);
+    const bool dynamic =
+        args.has("update-file") || args.get_bool("warm-refine", false);
     const bool outofcore = args.get_int("memory-budget-mb", 0) > 0;
     const int rc = [&]() -> int {
       if (outofcore) {
@@ -331,22 +320,18 @@ int main(int argc, char** argv) {
                     "--memory-budget-mb routes through the out-of-core "
                     "hierarchical layer; it cannot be combined with "
                     "partition or update flags");
-        return run_outofcore(args, in_path, opts);
       }
-      const ssp::Graph g = ssp::load_graph_source(in_path);
-      std::printf("loaded %s: |V| = %d, |E| = %lld\n", in_path.c_str(),
-                  g.num_vertices(), static_cast<long long>(g.num_edges()));
       if (dynamic) {
         SSP_REQUIRE(!partitioned,
                     "--update-file replays through the whole-graph dynamic "
                     "layer; it cannot be combined with partition flags");
-        return run_dynamic(args, g, opts);
       }
-      if (partitioned) {
-        return run_partitioned(
-            args, g, ssp::cli::partitioned_options_from(args, opts));
-      }
-      return run_whole_graph(args, g, opts);
+      if (partitioned || outofcore) return run_scale(args, in_path, opts);
+      const ssp::Graph g = ssp::load_graph_source(in_path);
+      std::printf("loaded %s: |V| = %d, |E| = %lld\n", in_path.c_str(),
+                  g.num_vertices(), static_cast<long long>(g.num_edges()));
+      return dynamic ? run_dynamic(args, g, opts)
+                     : run_whole_graph(args, g, opts);
     }();
     if (!ssp::cli::finish_trace(trace_path) && rc == 0) return 1;
     return rc;
