@@ -2,8 +2,8 @@
 
 /// \file subgraph.hpp
 /// Vertex-set subgraph extraction with local ↔ global id maps — the shared
-/// primitive behind recursive bisection and the partition-parallel
-/// sparsification layer (src/scale/).
+/// primitive behind recursive bisection and the scale layer's driver
+/// (src/scale/).
 ///
 /// All extractors consume a `GraphView` (heap graphs convert
 /// implicitly; mmap'd `.sspb` graphs extract without materializing the

@@ -4,8 +4,8 @@
 /// Condition-number quality estimation for an arbitrary sparsifier graph —
 /// λ_max via generalized power iterations with a tree-PCG solver for L_P,
 /// λ_min via the paper's §3.6.2 node-coloring (degree-ratio) bound. Used by
-/// the partition-parallel layer's global quality stage and the benches that
-/// compare sparsifiers produced by different pipelines (whole-graph vs
+/// ssp_sparsify's scale route (--estimate-quality/--rescale on the stitched
+/// sparsifier) and the benches that compare sparsifiers produced by different pipelines (whole-graph vs
 /// partitioned, similarity-aware vs Spielman–Srivastava).
 
 #include <cstdint>

@@ -143,7 +143,7 @@ TEST(RecursiveBisection, RespectsMinPartSize) {
   EXPECT_GE(res.parts, 2);
 }
 
-// Edge cases the partition-parallel layer (src/scale/) depends on.
+// Edge cases the scale layer (src/scale/) depends on.
 
 // Every produced label in [0, parts) is non-empty and in range.
 void expect_compact_labels(const Graph& g,
