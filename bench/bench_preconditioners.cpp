@@ -2,11 +2,15 @@
 // IC(0), bare spanning tree, AMG, and similarity-aware sparsifiers at
 // sigma^2 = 200 and 50 — iterations to ||Ax-b|| <= 1e-3||b|| plus setup
 // time. Contextualizes the paper's preconditioner against the standard
-// toolbox.
+// toolbox. The sparsifier rows also time one apply (a sparse-Cholesky
+// solve) at 1 and 2 pool threads and check that both give the same bits.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/sparsifier.hpp"
@@ -18,12 +22,30 @@
 #include "solver/pcg.hpp"
 #include "solver/preconditioner.hpp"
 #include "tree/kruskal.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace ssp;
 using bench::dim;
+
+/// Median seconds of one `m.apply(r, z)` over `reps` applies with the pool
+/// capped at `threads`; z holds the last output.
+double median_apply_seconds(const Preconditioner& m, std::span<const double> r,
+                            Vec& z, int threads, int reps = 201) {
+  set_default_threads(threads);
+  std::vector<double> seconds(static_cast<std::size_t>(reps));
+  for (double& s : seconds) {
+    const WallTimer t;
+    m.apply(r, z);
+    s = t.seconds();
+  }
+  set_default_threads(0);
+  const auto mid = seconds.begin() + reps / 2;
+  std::nth_element(seconds.begin(), mid, seconds.end());
+  return *mid;
+}
 
 void print_shootout(bench::Report& report) {
   bench::print_banner(
@@ -45,13 +67,14 @@ void print_shootout(bench::Report& report) {
   std::printf("%-22s %10s %12s\n", "preconditioner", "iters", "setup(s)");
   bench::print_rule(48);
 
-  auto run = [&](const char* name, const Preconditioner& m, double setup) {
+  auto run = [&](const char* name, const Preconditioner& m,
+                 double setup) -> bench::Json& {
     Vec x(b.size(), 0.0);
     const PcgResult r = pcg_solve(lg, b, x, m, opts);
     std::printf("%-22s %10lld %11.2fs%s\n", name,
                 static_cast<long long>(r.iterations), setup,
                 r.converged ? "" : "  [no convergence]");
-    report.section("cases").push(
+    return report.section("cases").push(
         bench::Json::object()
             .set("preconditioner", name)
             .set("vertices", g.num_vertices())
@@ -106,7 +129,21 @@ void print_shootout(bench::Report& report) {
     const SparsifierPreconditioner m(p);
     char name[64];
     std::snprintf(name, sizeof(name), "sparsifier s2=%.0f", sigma2);
-    run(name, m, t.seconds());
+    bench::Json& row = run(name, m, t.seconds());
+    // The factor splits its etree into default_threads() bins; a solve at
+    // any thread count must give the same bits.
+    Vec z1(b.size());
+    Vec z2(b.size());
+    const double apply_1t = median_apply_seconds(m, b, z1, 1);
+    const double apply_2t = median_apply_seconds(m, b, z2, 2);
+    const bool bitmatch =
+        std::memcmp(z1.data(), z2.data(), z1.size() * sizeof(double)) == 0;
+    std::printf("%-22s apply %.1f us at 1 thread, %.1f us at 2%s\n", "",
+                apply_1t * 1e6, apply_2t * 1e6,
+                bitmatch ? "" : "  [outputs differ]");
+    row.set("apply_seconds_1t", apply_1t)
+        .set("apply_seconds_2t", apply_2t)
+        .set("apply_bitmatch", bitmatch);
   }
   bench::print_rule(48);
   std::printf("similarity-aware sparsifiers trade setup time for the "

@@ -6,9 +6,13 @@
 /// a small fraction of off-tree edges) factors with near-zero fill under an
 /// approximate-minimum-degree ordering, so each PCG application costs two
 /// triangular solves over ~O(|V|) nonzeros and the operator is exactly
-/// fixed (as CG requires). This realizes the paper's Table 2/3 usage: "the
-/// spectral sparsifier … is leveraged as a preconditioner in a PCG
-/// solver".
+/// fixed (as CG requires). A factor of at least
+/// `SparseCholesky::kSplitMinNnz` nonzeros is split into
+/// `default_threads()` elimination-tree bins when it is built, and an
+/// application then sweeps the bins on the thread pool; its output is
+/// bit-identical at every thread count, so the operator stays fixed. This
+/// realizes the paper's Table 2/3 usage: "the spectral sparsifier … is
+/// leveraged as a preconditioner in a PCG solver".
 
 #include "graph/graph.hpp"
 #include "graph/laplacian.hpp"

@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "solver/ordering.hpp"
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace ssp {
 
@@ -114,6 +115,35 @@ Index ereach(const Csr& a, Index k, std::span<const Vertex> parent,
   return top;
 }
 
+/// Forward solve L z = y over columns [lo, hi), each column's rows up to
+/// row_end[j] (CSC, diagonal first per column).
+void forward_sweep(const Index* col_ptr, const Index* row_end,
+                   const Vertex* rows, const double* values, double* y,
+                   Index lo, Index hi) {
+  for (Index j = lo; j < hi; ++j) {
+    const Index head = col_ptr[j];
+    const double zj = y[j] / values[head];
+    y[j] = zj;
+    for (Index p = head + 1; p < row_end[j]; ++p) {
+      y[rows[p]] -= values[p] * zj;
+    }
+  }
+}
+
+/// Backward solve L^T w = z over columns [lo, hi), last column first.
+void backward_sweep(const Index* col_ptr, const Vertex* rows,
+                    const double* values, double* y, Index lo, Index hi) {
+  for (Index j = hi; j-- > lo;) {
+    const Index head = col_ptr[j];
+    const Index tail = col_ptr[j + 1];
+    double s = y[j];
+    for (Index p = head + 1; p < tail; ++p) {
+      s -= values[p] * y[rows[p]];
+    }
+    y[j] = s / values[head];
+  }
+}
+
 }  // namespace
 
 std::vector<Vertex> elimination_tree(const CsrMatrix& a) {
@@ -151,11 +181,8 @@ bool SparseCholesky::factor_grounded(Index outer_n, Index pin,
       break;
   }
   ws.inverse.assign(un, kInvalidVertex);
-  outer_index_.resize(un);
   for (std::size_t i = 0; i < un; ++i) {
-    const Vertex g = ws.order[i];
-    ws.inverse[static_cast<std::size_t>(g)] = static_cast<Vertex>(i);
-    outer_index_[i] = pin >= 0 && g >= pin ? g + 1 : g;
+    ws.inverse[static_cast<std::size_t>(ws.order[i])] = static_cast<Vertex>(i);
   }
   permute(ws.grounded, ws.order, ws.inverse, ws.row, ws.permuted);
   const Csr& ap = ws.permuted;
@@ -173,23 +200,44 @@ bool SparseCholesky::factor_grounded(Index outer_n, Index pin,
     }
   }
 
-  col_ptr_.assign(un + 1, 0);
-  for (std::size_t j = 0; j < un; ++j) {
-    col_ptr_[j + 1] = col_ptr_[j] + ws.next[j];
-  }
-  const Index lnz = col_ptr_[un];
+  Index lnz = 0;
+  for (std::size_t j = 0; j < un; ++j) lnz += ws.next[j];
   if (lnz > max_factor_nnz) {
     clear_over_budget();
     return false;
+  }
+  // The bins are planned from the etree and the column counts, so every
+  // column is stored at its relabeled place from the start and the numeric
+  // pass writes AMD column j at head[j].
+  plan_bins(ws, lnz);
+  const bool split = bin_begin_.size() > 2;
+  // Column sizes, and grounding and both permutations folded into one
+  // gather/scatter map.
+  col_ptr_.assign(un + 1, 0);
+  outer_index_.resize(un);
+  for (std::size_t j = 0; j < un; ++j) {
+    const auto q = split ? static_cast<std::size_t>(ws.relabel[j]) : j;
+    col_ptr_[q + 1] = ws.next[j];
+    const Vertex g = ws.order[j];
+    outer_index_[q] = pin >= 0 && g >= pin ? g + 1 : g;
+  }
+  for (std::size_t q = 0; q < un; ++q) col_ptr_[q + 1] += col_ptr_[q];
+  const Index* head = col_ptr_.data();
+  if (split) {
+    ws.head.resize(un);
+    for (std::size_t j = 0; j < un; ++j) {
+      ws.head[j] = col_ptr_[static_cast<std::size_t>(ws.relabel[j])];
+    }
+    head = ws.head.data();
   }
   rows_.assign(static_cast<std::size_t>(lnz), 0);
   values_.assign(static_cast<std::size_t>(lnz), 0.0);
 
   // next[j]: next free slot in column j. Slot 0 of each column = diagonal.
+  // Rows are AMD indices until finish_bins relabels them.
   for (std::size_t j = 0; j < un; ++j) {
-    const Index head = col_ptr_[j];
-    rows_[static_cast<std::size_t>(head)] = static_cast<Vertex>(j);
-    ws.next[j] = head + 1;
+    rows_[static_cast<std::size_t>(head[j])] = static_cast<Vertex>(j);
+    ws.next[j] = head[j] + 1;
   }
 
   // Numeric up-looking pass.
@@ -213,7 +261,7 @@ bool SparseCholesky::factor_grounded(Index outer_n, Index pin,
     for (Index t = top; t < n; ++t) {
       const Vertex j = ws.reach[static_cast<std::size_t>(t)];
       const auto uj = static_cast<std::size_t>(j);
-      const Index jhead = col_ptr_[uj];
+      const Index jhead = head[uj];
       const double ljj = values_[static_cast<std::size_t>(jhead)];
       const double lkj = x[uj] / ljj;
       x[uj] = 0.0;
@@ -231,7 +279,7 @@ bool SparseCholesky::factor_grounded(Index outer_n, Index pin,
           "sparse Cholesky: non-positive pivot at column " +
           std::to_string(k) + " (matrix not SPD)");
     }
-    values_[static_cast<std::size_t>(col_ptr_[kk])] = std::sqrt(d);
+    values_[static_cast<std::size_t>(head[kk])] = std::sqrt(d);
   }
 
   Index tril_nnz = 0;
@@ -245,10 +293,175 @@ bool SparseCholesky::factor_grounded(Index outer_n, Index pin,
   fill_ratio_ = tril_nnz > 0 ? static_cast<double>(lnz) /
                                    static_cast<double>(tril_nnz)
                              : 1.0;
+  if (split) finish_bins(ws);
   obs::counter_add("solver.cholesky.factors", 1);
   obs::counter_add("solver.cholesky.factor_nnz",
                    static_cast<std::uint64_t>(lnz));
+  obs::counter_add(
+      "solver.cholesky.split_columns",
+      static_cast<std::uint64_t>(n_ - bin_begin_.back()));
   return true;
+}
+
+void SparseCholesky::plan_bins(CholeskyWorkspace& ws, Index lnz) {
+  const Index n = n_;
+  const auto un = static_cast<std::size_t>(n);
+  bin_begin_.assign({0, n});
+  bin_row_end_.clear();
+  s_row_ptr_.assign(1, 0);
+  s_cols_.clear();
+  s_values_.clear();
+  const int k = default_threads();
+  const Index cap = n / kMaxSeparatorDivisor;
+  if (k < 2 || lnz < kSplitMinNnz || cap < 1) return;
+  const auto uk = static_cast<std::size_t>(k);
+  const auto s_bin = static_cast<Vertex>(k);  // the bin mark of S
+
+  // Subtree nonzeros of the etree (children precede parents) from the
+  // factor's column counts in ws.next.
+  const std::vector<Vertex>& parent = ws.parent;
+  std::vector<Index>& sub = ws.subtree_nnz;
+  std::vector<Vertex>& roots = ws.free_roots;
+  // The etree's children as linked lists, in two arrays that are free
+  // once the etree and the permutation are built.
+  std::vector<Vertex>& first_child = ws.ancestor;
+  std::vector<Vertex>& next_sibling = ws.inverse;
+  sub.assign(un, 0);
+  first_child.assign(un, kInvalidVertex);
+  next_sibling.resize(un);
+  roots.clear();
+  for (std::size_t j = 0; j < un; ++j) {
+    sub[j] += ws.next[j];
+    const Vertex p = parent[j];
+    if (p == kInvalidVertex) {
+      roots.push_back(static_cast<Vertex>(j));
+      continue;
+    }
+    const auto up = static_cast<std::size_t>(p);
+    sub[up] += sub[j];
+    next_sibling[j] = first_child[up];
+    first_child[up] = static_cast<Vertex>(j);
+  }
+
+  // Move S out, heaviest free subtree first, until the free subtrees pack
+  // into k bins (largest first into the lightest bin) within tolerance.
+  const auto heavier = [&sub](Vertex a, Vertex b) {
+    const Index wa = sub[static_cast<std::size_t>(a)];
+    const Index wb = sub[static_cast<std::size_t>(b)];
+    return wa != wb ? wa > wb : a < b;
+  };
+  const auto lighter = [&heavier](Vertex a, Vertex b) {
+    return heavier(b, a);
+  };
+  std::vector<Vertex>& bin = ws.relabel;  // each column's bin, then label
+  std::vector<Index>& load = ws.bin_load;
+  bin.assign(un, kInvalidVertex);
+  std::make_heap(roots.begin(), roots.end(), lighter);
+  Index free_nnz = lnz;
+  Index s_columns = 0;
+  const auto fits = [&](Index heaviest) {
+    return static_cast<double>(heaviest) * static_cast<double>(k) <=
+           (1.0 + kBinImbalance) * static_cast<double>(free_nnz);
+  };
+  const auto pack = [&] {
+    ws.packed.assign(roots.begin(), roots.end());
+    std::sort(ws.packed.begin(), ws.packed.end(), heavier);
+    load.assign(uk, 0);
+    for (const Vertex r : ws.packed) {
+      const auto b = static_cast<std::size_t>(
+          std::min_element(load.begin(), load.end()) - load.begin());
+      load[b] += sub[static_cast<std::size_t>(r)];
+      bin[static_cast<std::size_t>(r)] = static_cast<Vertex>(b);
+    }
+    return fits(*std::max_element(load.begin(), load.end()));
+  };
+  for (;;) {
+    if (roots.empty()) return;
+    if (fits(sub[static_cast<std::size_t>(roots.front())]) && pack()) break;
+    std::pop_heap(roots.begin(), roots.end(), lighter);
+    const auto top = static_cast<std::size_t>(roots.back());
+    roots.pop_back();
+    bin[top] = s_bin;
+    ++s_columns;
+    free_nnz -= ws.next[top];
+    if (s_columns > cap || (lnz - free_nnz) * kMaxSeparatorNnzDivisor > lnz) {
+      return;
+    }
+    for (Vertex c = first_child[top]; c != kInvalidVertex;
+         c = next_sibling[static_cast<std::size_t>(c)]) {
+      roots.push_back(c);
+      std::push_heap(roots.begin(), roots.end(), lighter);
+    }
+  }
+
+  // Every other column joins its parent's bin; S goes last. Relabel each
+  // range in AMD order.
+  std::vector<Index>& cursor = ws.bin_load;
+  cursor.assign(uk + 1, 0);
+  for (std::size_t j = un; j-- > 0;) {
+    const Vertex p = parent[j];
+    if (bin[j] != s_bin && p != kInvalidVertex &&
+        bin[static_cast<std::size_t>(p)] != s_bin) {
+      bin[j] = bin[static_cast<std::size_t>(p)];
+    }
+    ++cursor[static_cast<std::size_t>(bin[j])];
+  }
+  bin_begin_.assign(uk + 1, 0);
+  for (std::size_t b = 0; b < uk; ++b) {
+    bin_begin_[b + 1] = bin_begin_[b] + cursor[b];
+  }
+  for (std::size_t b = 0; b <= uk; ++b) cursor[b] = bin_begin_[b];
+  for (std::size_t j = 0; j < un; ++j) {
+    bin[j] = static_cast<Vertex>(cursor[static_cast<std::size_t>(bin[j])]++);
+  }
+}
+
+void SparseCholesky::finish_bins(CholeskyWorkspace& ws) {
+  const auto un = static_cast<std::size_t>(n_);
+  const Index s_begin = bin_begin_.back();
+  const auto us = static_cast<std::size_t>(n_ - s_begin);
+  // One pass in AMD column order relabels each column's rows — etree
+  // ancestors, appended in AMD order: its own bin's, then S's — records
+  // where its S rows start, counts each S row's entries and lists the
+  // columns that have S rows.
+  bin_row_end_.resize(un);
+  s_row_ptr_.assign(us + 1, 0);
+  ws.s_sources.clear();
+  for (std::size_t j = 0; j < un; ++j) {
+    const auto q = static_cast<std::size_t>(ws.relabel[j]);
+    const auto head = static_cast<std::size_t>(col_ptr_[q]);
+    const auto tail = static_cast<std::size_t>(col_ptr_[q + 1]);
+    rows_[head] = static_cast<Vertex>(q);
+    std::size_t end = tail;
+    for (std::size_t e = head + 1; e < tail; ++e) {
+      const Vertex r = ws.relabel[static_cast<std::size_t>(rows_[e])];
+      rows_[e] = r;
+      if (r >= s_begin) {
+        end = std::min(end, e);
+        ++s_row_ptr_[static_cast<std::size_t>(r - s_begin) + 1];
+      }
+    }
+    bin_row_end_[q] = static_cast<Index>(end);
+    if (end < tail) ws.s_sources.push_back(static_cast<Vertex>(j));
+  }
+  for (std::size_t i = 0; i < us; ++i) s_row_ptr_[i + 1] += s_row_ptr_[i];
+
+  // The S schedule: each S row's entries, its columns in AMD order.
+  s_cols_.resize(static_cast<std::size_t>(s_row_ptr_[us]));
+  s_values_.resize(s_cols_.size());
+  std::vector<Index>& fill = ws.bin_load;
+  fill.assign(s_row_ptr_.begin(), s_row_ptr_.end() - 1);
+  for (const Vertex j : ws.s_sources) {
+    const auto q =
+        static_cast<std::size_t>(ws.relabel[static_cast<std::size_t>(j)]);
+    for (Index e = bin_row_end_[q]; e < col_ptr_[q + 1]; ++e) {
+      const auto ue = static_cast<std::size_t>(e);
+      const auto slot = static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(rows_[ue] - s_begin)]++);
+      s_cols_[slot] = static_cast<Vertex>(q);
+      s_values_[slot] = values_[ue];
+    }
+  }
 }
 
 void SparseCholesky::clear_over_budget() {
@@ -259,6 +472,11 @@ void SparseCholesky::clear_over_budget() {
   col_ptr_.assign(1, 0);
   rows_.clear();
   values_.clear();
+  bin_begin_.assign({0, 0});
+  bin_row_end_.clear();
+  s_row_ptr_.assign(1, 0);
+  s_cols_.clear();
+  s_values_.clear();
   fill_ratio_ = 1.0;
   obs::counter_add("solver.cholesky.over_budget", 1);
 }
@@ -303,47 +521,72 @@ void SparseCholesky::solve(std::span<const double> b,
   SSP_REQUIRE(static_cast<Index>(x.size()) == outer_n_, "cholesky solve: x size");
   obs::counter_add("solver.cholesky.solves", 1);
   const bool laplacian_mode = pin_ >= 0;
-  const auto n = static_cast<std::size_t>(n_);
+  const Index bins = static_cast<Index>(bin_begin_.size()) - 1;
+  const Index s_begin = bin_begin_.back();
+  const bool pooled = bins > 1 && default_threads() > 1 &&
+                      !ThreadPool::on_worker_thread() &&
+                      global_pool().workers() > 1;
+  if (pooled) obs::counter_add("solver.cholesky.split_solves", 1);
+  const auto for_each_bin = [&](auto&& fn) {
+    if (pooled) {
+      parallel_for(0, bins, 0, fn);
+    } else {
+      for (Index bin = 0; bin < bins; ++bin) fn(bin);
+    }
+  };
+
+  thread_local Vec work;
+  work.resize(static_cast<std::size_t>(n_));
+  double* y = work.data();
+  const Index* col_ptr = col_ptr_.data();
+  const Index* row_end =
+      bin_row_end_.empty() ? col_ptr + 1 : bin_row_end_.data();
+  const Vertex* rows = rows_.data();
+  const double* values = values_.data();
+  const Vertex* outer = outer_index_.data();
 
   // Gather through the folded grounding+permutation map, projecting onto
   // range(L) on the way in Laplacian mode (b + (−mean) matches
   // project_out_mean bit for bit).
-  thread_local Vec y;
-  y.resize(n);
   const double shift = laplacian_mode ? -mean(b) : 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double bi = b[static_cast<std::size_t>(outer_index_[i])];
-    y[i] = laplacian_mode ? bi + shift : bi;
-  }
-
-  // Forward solve L z = y (CSC, diagonal first per column).
-  for (std::size_t j = 0; j < n; ++j) {
-    const Index head = col_ptr_[j];
-    const Index tail = col_ptr_[j + 1];
-    const double zj = y[j] / values_[static_cast<std::size_t>(head)];
-    y[j] = zj;
-    for (Index p = head + 1; p < tail; ++p) {
-      y[static_cast<std::size_t>(rows_[static_cast<std::size_t>(p)])] -=
-          values_[static_cast<std::size_t>(p)] * zj;
+  const auto gather = [&](Index lo, Index hi) {
+    for (Index i = lo; i < hi; ++i) {
+      const double bi = b[static_cast<std::size_t>(outer[i])];
+      y[i] = laplacian_mode ? bi + shift : bi;
     }
-  }
-  // Backward solve L^T w = z.
-  for (std::size_t j = n; j-- > 0;) {
-    const Index head = col_ptr_[j];
-    const Index tail = col_ptr_[j + 1];
-    double s = y[j];
-    for (Index p = head + 1; p < tail; ++p) {
-      s -= values_[static_cast<std::size_t>(p)] *
-           y[static_cast<std::size_t>(rows_[static_cast<std::size_t>(p)])];
-    }
-    y[j] = s / values_[static_cast<std::size_t>(head)];
-  }
+  };
 
-  // Scatter back; the grounded entry is 0 before re-centering.
+  for_each_bin([&](Index bin) {
+    const Index lo = bin_begin_[static_cast<std::size_t>(bin)];
+    const Index hi = bin_begin_[static_cast<std::size_t>(bin) + 1];
+    gather(lo, hi);
+    forward_sweep(col_ptr, row_end, rows, values, y, lo, hi);
+  });
+  // S: the rest of the forward sweep, row by row — each S row takes its
+  // columns' updates in AMD order, as in the column sweep — then its
+  // backward sweep.
+  gather(s_begin, n_);
+  for (Index q = s_begin; q < n_; ++q) {
+    const auto i = static_cast<std::size_t>(q - s_begin);
+    double yq = y[q];
+    for (Index p = s_row_ptr_[i]; p < s_row_ptr_[i + 1]; ++p) {
+      const auto up = static_cast<std::size_t>(p);
+      yq -= s_values_[up] * y[s_cols_[up]];
+    }
+    y[q] = yq / values[col_ptr[q]];
+  }
+  backward_sweep(col_ptr, rows, values, y, s_begin, n_);
+  for_each_bin([&](Index bin) {
+    backward_sweep(col_ptr, rows, values, y,
+                   bin_begin_[static_cast<std::size_t>(bin)],
+                   bin_begin_[static_cast<std::size_t>(bin) + 1]);
+  });
+
+  // Scatter back on this thread, whose cache holds x (scattering from the
+  // bins' threads measured slower); the grounded entry is 0 before
+  // re-centering.
   if (laplacian_mode) x[static_cast<std::size_t>(pin_)] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    x[static_cast<std::size_t>(outer_index_[i])] = y[i];
-  }
+  for (Index i = 0; i < n_; ++i) x[static_cast<std::size_t>(outer[i])] = y[i];
   if (laplacian_mode) project_out_mean(x);
 }
 
@@ -356,7 +599,11 @@ Vec SparseCholesky::solve(std::span<const double> b) const {
 std::size_t SparseCholesky::memory_bytes() const {
   return rows_.size() * sizeof(Vertex) + values_.size() * sizeof(double) +
          col_ptr_.size() * sizeof(Index) +
-         outer_index_.size() * sizeof(Vertex);
+         outer_index_.size() * sizeof(Vertex) +
+         bin_row_end_.size() * sizeof(Index) +
+         s_row_ptr_.size() * sizeof(Index) +
+         s_cols_.size() * sizeof(Vertex) + s_values_.size() * sizeof(double) +
+         bin_begin_.size() * sizeof(Index);
 }
 
 }  // namespace ssp

@@ -16,6 +16,40 @@
 /// removed, making the reduced matrix SPD for connected graphs; solutions
 /// are re-centered to zero mean (valid because RHS vectors are projected
 /// onto the range, see DESIGN.md §5).
+///
+/// Per-thread etree bins. A column's off-diagonal rows are all etree
+/// ancestors of it, so once a top-closed set S of etree nodes (every
+/// ancestor of an S node is in S) is taken out, each subtree left below S
+/// touches only its own rows and S rows. After the symbolic pass the factor
+/// moves S out, heaviest free subtree first, until the free subtrees pack
+/// into k = `default_threads()` bins within `kBinImbalance` of equal
+/// nonzeros. Each bin becomes one contiguous column range in AMD relative
+/// order and S goes last in AMD order; the numeric pass writes every column
+/// straight into its relabeled slots (values are computed once, in the AMD
+/// order, and never move), and the permutation is folded into the
+/// gather/scatter map. The split reads the etree and column counts the
+/// factor's structure is built from, so a column's etree parent is its
+/// first off-diagonal row. `solve` then
+///  1. computes the Laplacian shift (serial);
+///  2. gathers and forward-sweeps every bin over its in-bin rows (one pool
+///     region);
+///  3. replays the forward sweep into S from the S schedule — each S row's
+///     entries from bin and S columns, in AMD column order — then
+///     backward-sweeps S (serial);
+///  4. backward-sweeps every bin (one pool region);
+///  5. zeroes the pin, scatters and re-centres (serial: x is the caller's,
+///     and stores into it from the bins' threads measured slower).
+/// Every entry of the work vector receives the same operations in the same
+/// order as in one AMD-order column sweep (in-bin ancestors precede S
+/// ancestors in AMD order, and the replay keeps AMD order across bins), so
+/// the result is bit-identical for every thread count and every split.
+/// Without a split there is one bin and no S, and the routine is that
+/// column sweep.
+///
+/// Concurrency: `solve` is const and safe to call concurrently on one
+/// factor. A call from outside the pool may open pool regions, which the
+/// pool serializes; a call from inside a pool region (e.g. the embedding's
+/// parallel probe loop) runs the same schedule inline on its thread.
 
 #include <limits>
 #include <span>
@@ -59,6 +93,16 @@ struct CholeskyWorkspace {
   std::vector<Vertex> flag;      ///< ereach visit marks
   std::vector<Index> next;       ///< next free slot per factor column
   Vec x;                         ///< numeric row accumulator
+  // Bin split buffers (per column / per etree node).
+  std::vector<Index> subtree_nnz;    ///< factor nonzeros per etree subtree
+  std::vector<Vertex> free_roots;    ///< roots of the subtrees below S
+  std::vector<Vertex> packed;        ///< free roots, heaviest first
+  std::vector<Index> bin_load;       ///< packing loads, then cursors
+  /// Each AMD column's bin (k marks S) while planning, then its relabeled
+  /// column.
+  std::vector<Vertex> relabel;
+  std::vector<Index> head;           ///< AMD column -> its first slot
+  std::vector<Vertex> s_sources;     ///< AMD columns with S rows, in order
 };
 
 class SparseCholesky {
@@ -91,7 +135,8 @@ class SparseCholesky {
   /// Solves A x = b. In Laplacian mode, b is projected to zero mean and the
   /// solution is returned with zero mean (pseudoinverse convention).
   /// Allocation-free after a thread's first call (per-thread scratch), and
-  /// safe to call concurrently on one factor.
+  /// safe to call concurrently on one factor. A split factor runs its bins
+  /// in two pool regions (file comment).
   void solve(std::span<const double> b, std::span<double> x) const;
   [[nodiscard]] Vec solve(std::span<const double> b) const;
 
@@ -107,8 +152,54 @@ class SparseCholesky {
   [[nodiscard]] double fill_ratio() const { return fill_ratio_; }
 
   /// Analytic storage footprint of the factor (values + indices + column
-  /// pointers + permutation) — the Table 3 memory metric.
+  /// pointers + permutation + the bin split's per-column row ends, S
+  /// schedule and bin bounds) — the Table 3 memory metric.
   [[nodiscard]] std::size_t memory_bytes() const;
+
+  // Split constants. Measured on a 4-vCPU x86-64 VM with two pool
+  // threads, alternating blocks of 200 solves against the one-bin factor
+  // in one process (medians of 20–30 blocks), on AMD factors of σ² = 100
+  // sparsifiers of log-weight meshes.
+
+  /// Factors under this many nonzeros are not split. The two-thread solve
+  /// lost 3% at 4.2k nonzeros (40² mesh) and 2.6% at 6.2k, broke even at
+  /// 8.6k and won 21–28% from 11k (64², 72², 80²), one run each in a host
+  /// phase where the one-bin sweep ran slow (in fast phases a bare solve
+  /// loop gains little at any size; inside PCG it does, see README). 16Ki
+  /// keeps a margin for slower pool hand-offs; the factors of a 48² mesh
+  /// sparsifier (6.1k) and of 600-vertex dense networks (2.2–2.5k on
+  /// average) stay whole.
+  static constexpr Index kSplitMinNnz = 16384;
+  /// The largest bin may hold this much more than the mean bin's nonzeros.
+  /// On a 128² mesh sparsifier's factor (58k nonzeros, two bins) every
+  /// tolerance from 0.01 to 0.04 gives S = 83 columns and bins of 28,030
+  /// and 27,910 nonzeros; 0.08 stops at S = 46 with a 4% heavier bin.
+  static constexpr double kBinImbalance = 0.04;
+  /// S is solved serially, so it may hold at most n / kMaxSeparatorDivisor
+  /// columns — a path's chain etree never fits —
+  static constexpr Index kMaxSeparatorDivisor = 32;
+  /// ... and at most factor_nnz() / kMaxSeparatorNnzDivisor nonzeros. The
+  /// two-thread solve was 25–30% faster with S at 4% of the nonzeros (that
+  /// 128² mesh), 1% faster at 20% (3-D grid 20³) and 36% slower at 50%
+  /// (Barabási–Albert, 20k vertices, m = 3), so such dense etree tops stay
+  /// whole.
+  static constexpr Index kMaxSeparatorNnzDivisor = 8;
+
+  /// Read-only view of the factor's arrays, in the factored (relabeled)
+  /// order. Bin b is columns [bin_begin[b], bin_begin[b + 1]); S is
+  /// [bin_begin.back(), size of col_ptr − 1). `outer_index` maps a factored
+  /// index to the caller-visible one; `pin` is the grounded vertex or −1.
+  struct Layout {
+    Index pin;
+    std::span<const Vertex> outer_index;
+    std::span<const Index> col_ptr;
+    std::span<const Vertex> rows;
+    std::span<const double> values;
+    std::span<const Index> bin_begin;
+  };
+  [[nodiscard]] Layout layout() const {
+    return {pin_, outer_index_, col_ptr_, rows_, values_, bin_begin_};
+  }
 
  private:
   /// Factors ws.grounded (already built) under `opts`; `pin` >= 0 marks
@@ -118,6 +209,14 @@ class SparseCholesky {
                        CholeskyWorkspace& ws, Index max_factor_nnz);
   /// Empties the factor after an over-budget ordering or symbolic pass.
   void clear_over_budget();
+  /// Plans the per-thread bins (file comment) from the etree in ws.parent
+  /// and the column counts in ws.next: sets bin_begin_ and, with a split,
+  /// ws.relabel. Leaves one bin and no S when the factor is under
+  /// kSplitMinNnz nonzeros, k = 1, or no split fits the S cap.
+  void plan_bins(CholeskyWorkspace& ws, Index lnz);
+  /// After the numeric pass of a split factor: relabels rows_, and builds
+  /// the in-bin row ends and the S schedule.
+  void finish_bins(CholeskyWorkspace& ws);
 
   Index n_ = 0;        ///< factored (possibly grounded) dimension
   Index outer_n_ = 0;  ///< dimension seen by callers
@@ -129,6 +228,18 @@ class SparseCholesky {
   std::vector<Index> col_ptr_;
   std::vector<Vertex> rows_;
   std::vector<double> values_;
+  /// nbins + 1 column bounds; S is [bin_begin_.back(), n_). One bin and
+  /// no S without a split.
+  std::vector<Index> bin_begin_ = {0, 0};
+  /// Per column: the slot past its last in-bin row (head + 1 for an S
+  /// column). Empty without a split, where col_ptr_[j + 1] bounds it.
+  std::vector<Index> bin_row_end_;
+  /// The S schedule, step 3's serial replay of the forward sweep: S row
+  /// s_begin + i holds its entries of every column (bin and S) at
+  /// [s_row_ptr_[i], s_row_ptr_[i + 1]), columns in AMD order.
+  std::vector<Index> s_row_ptr_ = {0};
+  std::vector<Vertex> s_cols_;
+  std::vector<double> s_values_;
   double fill_ratio_ = 1.0;
 };
 

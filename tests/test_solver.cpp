@@ -6,11 +6,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <queue>
 #include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
+
+#include "core/sparsifier.hpp"
 
 #include "graph/generators/airfoil.hpp"
 #include "graph/generators/community.hpp"
@@ -22,12 +27,14 @@
 #include "graph/laplacian.hpp"
 #include "la/dense_matrix.hpp"
 #include "la/vector_ops.hpp"
+#include "obs/metrics.hpp"
 #include "solver/amg.hpp"
 #include "solver/cholesky.hpp"
 #include "solver/ordering.hpp"
 #include "solver/pcg.hpp"
 #include "solver/preconditioner.hpp"
 #include "tree/kruskal.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ssp {
@@ -547,6 +554,321 @@ TEST(Cholesky, PreconditionerAdapterWorks) {
                                    .project_constants = true});
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.iterations, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread etree bins (cholesky.hpp): every split solve must reproduce
+// the one-thread AMD-order column sweep bit for bit.
+
+/// The column sweep `SparseCholesky::solve` ran before the bin split, kept
+/// here as the oracle: gather through the folded map, forward and backward
+/// sweeps in column order, scatter, re-centre. Run it on a one-bin factor
+/// (factored at one thread), whose columns are in AMD order.
+Vec column_sweep(const SparseCholesky& chol, std::span<const double> b) {
+  const SparseCholesky::Layout f = chol.layout();
+  const std::size_t n = f.col_ptr.size() - 1;
+  const bool laplacian_mode = f.pin >= 0;
+  const double shift = laplacian_mode ? -mean(b) : 0.0;
+  Vec y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double bi = b[static_cast<std::size_t>(f.outer_index[i])];
+    y[i] = laplacian_mode ? bi + shift : bi;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto head = static_cast<std::size_t>(f.col_ptr[j]);
+    const auto tail = static_cast<std::size_t>(f.col_ptr[j + 1]);
+    const double zj = y[j] / f.values[head];
+    y[j] = zj;
+    for (std::size_t p = head + 1; p < tail; ++p) {
+      y[static_cast<std::size_t>(f.rows[p])] -= f.values[p] * zj;
+    }
+  }
+  for (std::size_t j = n; j-- > 0;) {
+    const auto head = static_cast<std::size_t>(f.col_ptr[j]);
+    const auto tail = static_cast<std::size_t>(f.col_ptr[j + 1]);
+    double s = y[j];
+    for (std::size_t p = head + 1; p < tail; ++p) {
+      s -= f.values[p] * y[static_cast<std::size_t>(f.rows[p])];
+    }
+    y[j] = s / f.values[head];
+  }
+  Vec x(b.size());
+  if (laplacian_mode) x[static_cast<std::size_t>(f.pin)] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[static_cast<std::size_t>(f.outer_index[i])] = y[i];
+  }
+  if (laplacian_mode) project_out_mean(x);
+  return x;
+}
+
+bool bit_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Index bins_of(const SparseCholesky& chol) {
+  return static_cast<Index>(chol.layout().bin_begin.size()) - 1;
+}
+
+SparseCholesky factor_at(const CsrMatrix& l, int threads) {
+  set_default_threads(threads);
+  return SparseCholesky::factor_laplacian(
+      l, {.ordering = CholeskyOptions::Ordering::kMinDegree});
+}
+
+struct SplitCase {
+  std::string name;
+  CsrMatrix laplacian;
+  std::vector<int> split_threads;  ///< factor thread counts that split it
+};
+
+CsrMatrix sparsifier_laplacian(const Graph& g) {
+  return laplacian(sparsify(g, SparsifyOptions{}.with_sigma2(100.0)
+                                   .with_threads(1))
+                       .extract(g));
+}
+
+/// Sparsifier factors above the split floor (16–22k nonzeros), plus
+/// inputs the split leaves whole: a path's chain etree outgrows the S cap,
+/// an ER Laplacian's fill puts most nonzeros at the top of the etree, and
+/// two vertices give one column. A star splits with S = the hub column(s).
+std::vector<SplitCase> split_cases() {
+  std::vector<SplitCase> cases;
+  const WeightModel w = WeightModel::log_uniform(0.1, 10.0);
+  Rng mesh_rng(5);
+  cases.push_back({"mesh", sparsifier_laplacian(grid_2d(80, 80, w, &mesh_rng)),
+                   {2, 3, 4}});
+  Rng tri_rng(5);
+  cases.push_back({"triangulated",
+                   sparsifier_laplacian(triangulated_grid(72, 72, w, &tri_rng)),
+                   {2, 3, 4}});
+  Rng ba_rng(5);
+  cases.push_back({"ba", sparsifier_laplacian(barabasi_albert(6000, 2, ba_rng, w)),
+                   {2, 3, 4}});
+  Rng grid_rng(6);
+  cases.push_back({"grid3d",
+                   sparsifier_laplacian(grid_3d(16, 16, 16, w, &grid_rng)),
+                   {3}});
+  cases.push_back({"star", laplacian(star_graph(9000)), {2, 3, 4}});
+  cases.push_back({"path", laplacian(path_graph(9000)), {}});
+  Rng er_rng(7);
+  cases.push_back({"er", laplacian(erdos_renyi_connected(1000, 3000, er_rng)), {}});
+  cases.push_back({"two", laplacian(path_graph(2)), {}});
+  return cases;
+}
+
+TEST(CholeskySplit, SolveIsBitIdenticalToTheColumnSweep) {
+  for (const SplitCase& c : split_cases()) {
+    const SparseCholesky whole = factor_at(c.laplacian, 1);
+    ASSERT_EQ(bins_of(whole), 1) << c.name;
+    Rng rng(9);
+    std::vector<Vec> rhs;
+    for (int r = 0; r < 2; ++r) rhs.push_back(rng.normal_vector(c.laplacian.rows()));
+    std::vector<Vec> expected;
+    for (const Vec& b : rhs) expected.push_back(column_sweep(whole, b));
+    if (c.name != "two") {
+      EXPECT_GE(whole.factor_nnz(), SparseCholesky::kSplitMinNnz) << c.name;
+    }
+    for (const int factor_threads : {1, 2, 3, 4}) {
+      const SparseCholesky chol = factor_at(c.laplacian, factor_threads);
+      const bool splits =
+          std::find(c.split_threads.begin(), c.split_threads.end(),
+                    factor_threads) != c.split_threads.end();
+      EXPECT_EQ(bins_of(chol), splits ? factor_threads : 1)
+          << c.name << " factored at " << factor_threads;
+      for (const int solve_threads : {1, 2, 4}) {
+        set_default_threads(solve_threads);
+        for (std::size_t r = 0; r < rhs.size(); ++r) {
+          EXPECT_TRUE(bit_equal(chol.solve(rhs[r]), expected[r]))
+              << c.name << " factored at " << factor_threads
+              << ", solved at " << solve_threads << ", rhs " << r;
+        }
+      }
+    }
+  }
+  set_default_threads(0);
+}
+
+TEST(CholeskySplit, SpdFactorsAndReusedWorkspacesMatchTheColumnSweep) {
+  Rng mesh_rng(5);
+  const CsrMatrix l = sparsifier_laplacian(
+      grid_2d(80, 80, WeightModel::log_uniform(0.1, 10.0), &mesh_rng));
+  Rng rng(11);
+  const Vec b = rng.normal_vector(l.rows());
+
+  // An SPD matrix (no grounding, no re-centring) splits the same way.
+  std::vector<Triplet> ts;
+  for (Index r = 0; r < l.rows(); ++r) {
+    const auto cols = l.row_cols(r);
+    const auto vals = l.row_vals(r);
+    for (std::size_t k = 0; k < cols.size(); ++k) ts.push_back({r, cols[k], vals[k]});
+    ts.push_back({r, r, 0.5});
+  }
+  const CsrMatrix a = CsrMatrix::from_triplets(l.rows(), l.cols(), ts);
+  const CholeskyOptions amd{.ordering = CholeskyOptions::Ordering::kMinDegree};
+  set_default_threads(1);
+  const Vec spd_expected = column_sweep(SparseCholesky::factor(a, amd), b);
+  for (const int threads : {2, 4}) {
+    set_default_threads(threads);
+    const SparseCholesky chol = SparseCholesky::factor(a, amd);
+    EXPECT_EQ(bins_of(chol), threads);
+    EXPECT_TRUE(bit_equal(chol.solve(b), spd_expected)) << "SPD at " << threads;
+  }
+
+  // One workspace and factor refactored at alternating thread counts: no
+  // split array outlives the factorization that built it.
+  const SparseCholesky whole = factor_at(l, 1);
+  const Vec expected = column_sweep(whole, b);
+  SparseCholesky reused;
+  CholeskyWorkspace ws;
+  for (const int threads : {2, 1, 4, 2, 1}) {
+    set_default_threads(threads);
+    ASSERT_TRUE(reused.refactor_laplacian(l, amd, ws));
+    const SparseCholesky fresh = factor_at(l, threads);
+    EXPECT_EQ(bins_of(reused), threads) << threads;
+    EXPECT_EQ(reused.memory_bytes(), fresh.memory_bytes()) << threads;
+    EXPECT_TRUE(bit_equal(reused.solve(b), expected)) << threads;
+  }
+  set_default_threads(0);
+}
+
+TEST(CholeskySplit, NestedAndConcurrentCallersMatchTheColumnSweep) {
+  Rng mesh_rng(5);
+  const CsrMatrix l = sparsifier_laplacian(
+      grid_2d(80, 80, WeightModel::log_uniform(0.1, 10.0), &mesh_rng));
+  const SparseCholesky whole = factor_at(l, 1);
+  const SparseCholesky chol = factor_at(l, 2);
+  ASSERT_EQ(bins_of(chol), 2);
+  Rng rng(10);
+  std::vector<Vec> rhs;
+  std::vector<Vec> expected;
+  for (int r = 0; r < 8; ++r) {
+    rhs.push_back(rng.normal_vector(l.rows()));
+    expected.push_back(column_sweep(whole, rhs.back()));
+  }
+
+  // Inside a pool region each call runs its bins inline.
+  set_default_threads(4);
+  std::vector<Vec> nested(rhs.size());
+  parallel_for(0, static_cast<Index>(rhs.size()), 0, [&](Index r) {
+    const auto ur = static_cast<std::size_t>(r);
+    nested[ur] = chol.solve(rhs[ur]);
+  });
+  for (std::size_t r = 0; r < rhs.size(); ++r) {
+    EXPECT_TRUE(bit_equal(nested[r], expected[r])) << "nested rhs " << r;
+  }
+
+  // Four threads outside the pool share the factor; their regions are
+  // serialized by the pool.
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      Vec x(static_cast<std::size_t>(l.rows()));
+      for (int rep = 0; rep < 3; ++rep) {
+        for (std::size_t r = 0; r < rhs.size(); ++r) {
+          chol.solve(rhs[r], x);
+          if (!bit_equal(x, expected[r])) ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  set_default_threads(0);
+}
+
+/// Value of one counter (0 when it never registered).
+std::uint64_t counter_value(std::string_view name) {
+  std::uint64_t value = 0;
+  obs::for_each_metric([&](const obs::MetricEntry& e) {
+    if (std::string_view(e.name) == name) value = e.counter;
+  });
+  return value;
+}
+
+TEST(CholeskySplit, BinsAreContiguousSubtreesBelowATopClosedSeparator) {
+  for (const SplitCase& c : split_cases()) {
+    if (c.split_threads.empty()) continue;
+    const SparseCholesky whole = factor_at(c.laplacian, 1);
+    for (const int k : c.split_threads) {
+      obs::set_metrics_enabled(true);
+      obs::reset_metrics_for_tests();
+      const SparseCholesky chol = factor_at(c.laplacian, k);
+      const SparseCholesky::Layout f = chol.layout();
+      const auto n = static_cast<Index>(f.col_ptr.size()) - 1;
+      const std::string where = c.name + " k=" + std::to_string(k);
+      ASSERT_EQ(static_cast<Index>(f.bin_begin.size()), k + 1) << where;
+      const Index s_begin = f.bin_begin.back();
+      EXPECT_EQ(counter_value("solver.cholesky.split_columns"),
+                static_cast<std::uint64_t>(n - s_begin))
+          << where;
+      EXPECT_GT(n - s_begin, 0) << where;
+      EXPECT_LE(n - s_begin, n / SparseCholesky::kMaxSeparatorDivisor) << where;
+      EXPECT_EQ(f.bin_begin.front(), 0) << where;
+
+      Index s_entries = 0;  // off-diagonal entries in S rows
+      std::vector<Index> bin_nnz(static_cast<std::size_t>(k), 0);
+      for (int b = 0; b <= k; ++b) {  // bin k is S
+        const Index lo = f.bin_begin[static_cast<std::size_t>(b)];
+        const Index hi = b < k ? f.bin_begin[static_cast<std::size_t>(b) + 1] : n;
+        if (b < k) {
+          EXPECT_LT(lo, hi) << where << " bin " << b << " is empty";
+        }
+        for (Index j = lo; j < hi; ++j) {
+          const auto head = f.col_ptr[static_cast<std::size_t>(j)];
+          const auto tail = f.col_ptr[static_cast<std::size_t>(j) + 1];
+          ASSERT_EQ(f.rows[static_cast<std::size_t>(head)], j) << where;
+          if (b < k) bin_nnz[static_cast<std::size_t>(b)] += tail - head;
+          for (Index p = head + 1; p < tail; ++p) {
+            const Vertex r = f.rows[static_cast<std::size_t>(p)];
+            // Rows ascend within a column (so the first is the parent).
+            ASSERT_GT(r, f.rows[static_cast<std::size_t>(p - 1)]) << where;
+            // S columns only reach S rows (top-closed); a bin column
+            // reaches its own bin and S.
+            if (b == k || r < s_begin) {
+              ASSERT_GE(r, lo) << where << " column " << j;
+              ASSERT_LT(r, hi) << where << " column " << j;
+            }
+            if (r >= s_begin) ++s_entries;
+          }
+        }
+      }
+      const Index s_nnz = chol.factor_nnz() - std::accumulate(bin_nnz.begin(), bin_nnz.end(), Index{0});
+      EXPECT_LE(s_nnz * SparseCholesky::kMaxSeparatorNnzDivisor, chol.factor_nnz()) << where;
+      const double mean_bin = static_cast<double>(chol.factor_nnz() - s_nnz) /
+                              static_cast<double>(k);
+      EXPECT_LE(static_cast<double>(*std::max_element(bin_nnz.begin(), bin_nnz.end())),
+                (1.0 + SparseCholesky::kBinImbalance) * mean_bin)
+          << where;
+
+      // M_I counts the split: per-column in-bin row ends, the S schedule
+      // (row pointers, columns, values) and the bin bounds.
+      const std::size_t split_bytes =
+          static_cast<std::size_t>(n) * sizeof(Index) +
+          static_cast<std::size_t>(n - s_begin) * sizeof(Index) +
+          static_cast<std::size_t>(s_entries) * (sizeof(Vertex) + sizeof(double)) +
+          static_cast<std::size_t>(k - 1) * sizeof(Index);
+      EXPECT_EQ(chol.memory_bytes(), whole.memory_bytes() + split_bytes) << where;
+
+      // A solve from outside the pool runs its bins on the pool; one
+      // nested in a region runs them inline.
+      Vec b(static_cast<std::size_t>(c.laplacian.rows()), 1.0);
+      b[0] = -2.0;
+      set_default_threads(2);
+      (void)chol.solve(b);
+      const std::uint64_t pooled = global_pool().workers() > 1 ? 1u : 0u;
+      EXPECT_EQ(counter_value("solver.cholesky.split_solves"), pooled) << where;
+      parallel_for(0, 2, 0, [&](Index) { (void)chol.solve(b); });
+      EXPECT_EQ(counter_value("solver.cholesky.split_solves"), pooled) << where;
+      EXPECT_EQ(counter_value("solver.cholesky.solves"), 3u) << where;
+      obs::set_metrics_enabled(false);
+      obs::reset_metrics_for_tests();
+    }
+  }
+  set_default_threads(0);
 }
 
 TEST(Amg, HierarchyShrinksAndSolves) {
