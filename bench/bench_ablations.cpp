@@ -16,7 +16,6 @@
 #include <set>
 
 #include "bench_common.hpp"
-#include "core/densify.hpp"
 #include "core/embedding.hpp"
 #include "core/options_io.hpp"
 #include "core/rescale.hpp"

@@ -1,7 +1,7 @@
 // Partition-parallel sparsification (the scale driver, src/scale/) vs the
 // whole-graph engine: quality (condition-number / eigenvalue error against the
 // whole-graph sparsifier, measured with one shared estimator) and
-// wall-clock across k ∈ {1, 2, 4, 8}, plus a cut-policy sweep at k = 4.
+// wall-clock across k ∈ {1, 2, 4, 8}, plus a keep-all cut row at k = 4.
 // k = 1 is the whole-graph engine bit for bit, so its row doubles as the
 // baseline. Emits BENCH_partitioned.json for the perf trajectory.
 
@@ -105,9 +105,7 @@ void run_graph(const char* name, const Graph& g, bench::Report& report) {
   for (const Index k : {1, 2, 4, 8}) {
     run_case(g, k, CutPolicy::kFilter, whole, rows);
   }
-  for (const CutPolicy policy : {CutPolicy::kKeepAll, CutPolicy::kQuotient}) {
-    run_case(g, 4, policy, whole, rows);
-  }
+  run_case(g, 4, CutPolicy::kKeepAll, whole, rows);
 }
 
 }  // namespace

@@ -66,8 +66,6 @@ const char* to_string(CutPolicy policy) {
       return "keep-all";
     case CutPolicy::kFilter:
       return "filter";
-    case CutPolicy::kQuotient:
-      return "quotient";
   }
   return "?";
 }
@@ -120,9 +118,8 @@ SimilarityPolicy parse_similarity_policy(const std::string& name) {
 CutPolicy parse_cut_policy(const std::string& name) {
   if (name == "keep-all") return CutPolicy::kKeepAll;
   if (name == "filter") return CutPolicy::kFilter;
-  if (name == "quotient") return CutPolicy::kQuotient;
   throw std::invalid_argument("unknown cut policy '" + name +
-                              "' (keep-all|filter|quotient)");
+                              "' (keep-all|filter)");
 }
 
 }  // namespace ssp

@@ -28,7 +28,7 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 /// "filtering" | "final-estimate"
 [[nodiscard]] const char* to_string(StageKind stage);
 
-/// "keep-all" | "filter" | "quotient"
+/// "keep-all" | "filter"
 [[nodiscard]] const char* to_string(CutPolicy policy);
 
 /// "validate" | "apply-graph" | "tree-repair" | "rebind" | "sparsify"

@@ -1,7 +1,6 @@
 #include "scale/hierarchical_sparsifier.hpp"
 
 #include <algorithm>
-#include <map>
 #include <span>
 #include <utility>
 
@@ -494,7 +493,7 @@ void HierarchicalSparsifier::run_units(std::vector<Vertex> unit_of,
   std::vector<EdgeId> cut_kept;
   switch (opts_.cut_policy) {
     case CutPolicy::kKeepAll:
-      cut_kept = cut;
+      cut_kept = std::move(cut);
       break;
     case CutPolicy::kFilter: {
       const Subgraph cut_graph = cut_subgraph(g_, unit_of);
@@ -513,32 +512,14 @@ void HierarchicalSparsifier::run_units(std::vector<Vertex> unit_of,
       result_.cut_stats = fold_stats(kCutBlock, cut_graph, tasks);
       break;
     }
-    case CutPolicy::kQuotient: {
-      // One heaviest representative per adjacent unit pair; ties break
-      // toward the lowest edge id (the cut list is ascending).
-      std::map<std::pair<Vertex, Vertex>, EdgeId> best;
-      for (const EdgeId host : cut) {
-        const Edge e = g_.edge(host);
-        const Vertex bu = unit_of[static_cast<std::size_t>(e.u)];
-        const Vertex bv = unit_of[static_cast<std::size_t>(e.v)];
-        const auto [it, inserted] =
-            best.try_emplace({std::min(bu, bv), std::max(bu, bv)}, host);
-        if (!inserted && g_.edge(it->second).weight < e.weight) {
-          it->second = host;
-        }
-      }
-      for (const auto& [pair, host] : best) cut_kept.push_back(host);
-      std::sort(cut_kept.begin(), cut_kept.end());
-      break;
-    }
   }
   notify_stage("scale.cut-sparsify", "scale.stage.cut-sparsify.ns",
                timer.seconds());
 
   // Stitch. Postcondition: the sparsifier connects exactly what G
-  // connects. kKeepAll/kFilter satisfy it by construction (every engine
-  // keeps a spanning tree of its component); kQuotient may drop a bridge,
-  // so missing links are repaired greedily, heaviest cut edge first.
+  // connects. Both cut policies satisfy it by construction (every unit
+  // component and every cut-graph component keeps a spanning tree), so the
+  // union-find pass is a check, not a repair.
   timer.reset();
   result_.edges.insert(result_.edges.end(), cut_kept.begin(), cut_kept.end());
   result_.cut_edges_kept = static_cast<EdgeId>(cut_kept.size());
@@ -546,21 +527,6 @@ void HierarchicalSparsifier::run_units(std::vector<Vertex> unit_of,
   for (const EdgeId e : result_.edges) {
     const Edge edge = g_.edge(e);
     uf.unite(static_cast<Index>(edge.u), static_cast<Index>(edge.v));
-  }
-  if (uf.num_sets() > roots) {
-    std::sort(cut.begin(), cut.end(), [this](EdgeId a, EdgeId b) {
-      const double wa = g_.edge(a).weight;
-      const double wb = g_.edge(b).weight;
-      return wa != wb ? wa > wb : a < b;
-    });
-    for (const EdgeId e : cut) {
-      const Edge edge = g_.edge(e);
-      if (uf.unite(static_cast<Index>(edge.u), static_cast<Index>(edge.v))) {
-        result_.edges.push_back(e);
-        ++result_.cut_edges_kept;
-        if (uf.num_sets() == roots) break;
-      }
-    }
   }
   SSP_ASSERT(uf.num_sets() == roots, "scale driver lost connectivity");
   notify_stage("scale.stitch", "scale.stage.stitch.ns", timer.seconds());

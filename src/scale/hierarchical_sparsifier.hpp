@@ -27,13 +27,12 @@
 ///     ThreadPool; components that are already trees are kept verbatim
 ///     (κ = 1). Only one wave's subgraphs live on the heap at a time.
 ///  4. **Cut**: inter-unit edges per `CutPolicy`: keep them all (the
-///     default), filter them with an engine pass over the cut graph, or
-///     keep one heaviest representative per adjacent unit pair.
-///  5. **Stitch**: unit selections in unit order, then the surviving cut
-///     edges; a union-find check repairs connectivity (heaviest cut edge
-///     first) if the cut policy dropped a bridge, so the sparsifier always
-///     connects exactly what G connects. Disconnected inputs are supported
-///     — unlike the whole-graph engine.
+///     default) or filter them with an engine pass over the cut graph.
+///  5. **Stitch**: unit selections in unit order, then the kept cut
+///     edges. Every unit component and every cut-graph component keeps a
+///     spanning tree, so the sparsifier connects exactly what G connects
+///     by construction; an always-on union-find check asserts it.
+///     Disconnected inputs are supported — unlike the whole-graph engine.
 ///
 /// Determinism: the result is a pure function of (graph, assignment or
 /// options-without-threads). The budget split depends only on CSR
@@ -53,10 +52,12 @@
 /// O(n) bookkeeping (BFS order, unit ids, union-find) nor the cut edge
 /// list.
 ///
-/// σ² caveat: unit σ² targets are local — the global condition number of
-/// the stitched sparsifier is typically somewhat above the per-unit
-/// target. Measure it with `estimate_sparsifier_quality`
-/// (scale/quality.hpp) on the stitched graph.
+/// σ² bound: the units and the cut pass sparsify disjoint edge sets of G,
+/// so L_P ≼ L_G ≼ (max piece λ_max) · L_P. The global κ(L_G, L_P) is thus
+/// at most the largest unit or cut-pass κ (keep-all's cut: κ = 1) when
+/// every piece's λ_min is 1 — its dropped edges alone do not connect it,
+/// the usual case — and is as certified as those estimates are.
+/// `estimate_sparsifier_quality` (scale/quality.hpp) measures it directly.
 
 #include <cstdint>
 #include <functional>
@@ -74,9 +75,8 @@ namespace ssp {
 
 /// What happens to the inter-unit (cut) edges.
 enum class CutPolicy {
-  kKeepAll,   ///< keep every cut edge (safest, densest)
-  kFilter,    ///< engine pass over the cut graph
-  kQuotient,  ///< one heaviest edge per adjacent unit pair + repair
+  kKeepAll,  ///< keep every cut edge (densest, κ = 1 on the cut)
+  kFilter,   ///< engine pass over the cut graph
 };
 
 /// Recursion guard of the budget split: a range at this depth becomes a
@@ -132,14 +132,13 @@ struct BlockStats {
 
 struct HierarchicalResult {
   /// Host edge ids of the sparsifier: unit selections in unit order (each
-  /// engine's backbone-first order preserved), then surviving cut edges
-  /// (ascending host id for kKeepAll/kQuotient), then connectivity
-  /// repairs.
+  /// engine's backbone-first order preserved), then kept cut edges
+  /// (ascending host id for kKeepAll).
   std::vector<EdgeId> edges;
   Index leaves = 0;         ///< units of the split (blocks or leaves)
   Index depth = 0;          ///< deepest budget-split leaf (0 = unsplit)
   EdgeId cut_edges = 0;     ///< inter-unit edges of G
-  EdgeId cut_edges_kept = 0;  ///< of them in `edges`, repairs included
+  EdgeId cut_edges_kept = 0;  ///< of them in `edges`
   bool whole_graph = false;   ///< whole-graph path taken
   /// Per-unit telemetry in unit id order; one entry on the whole-graph
   /// path.

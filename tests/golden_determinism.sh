@@ -2,9 +2,10 @@
 # Golden determinism check: runs ssp_sparsify over the checked-in fixture
 # graphs through every execution path — the whole-graph engine, the scale
 # layer (partitioned under each cut policy, and out-of-core under a memory
-# budget), and the dynamic update layer — and compares the output edge lists byte for byte (sha256) against
-# tests/fixtures/golden_hashes.txt. Every path is pinned to fixed options
-# and seeds, so any hash drift is a cross-PR determinism regression.
+# budget), and the dynamic update layer — and compares the output edge
+# lists byte for byte (sha256) against tests/fixtures/golden_hashes.txt.
+# Every path is pinned to fixed options and seeds, so any hash drift is a
+# cross-PR determinism regression.
 #
 # Usage: golden_determinism.sh <ssp_sparsify> <fixtures_dir> <work_dir>
 #
@@ -38,8 +39,6 @@ for fixture in grid8 community16; do
   run "${fixture}_part4.mtx"     --in "$in" --sigma2 8 --seed 42 --partitions 4
   run "${fixture}_part4_keepall.mtx" --in "$in" --sigma2 8 --seed 42 \
       --partitions 4 --cut-policy keep-all
-  run "${fixture}_part4_quotient.mtx" --in "$in" --sigma2 8 --seed 42 \
-      --partitions 4 --cut-policy quotient
   run "${fixture}_dynamic.mtx"   --in "$in" --sigma2 8 --seed 42 \
       --update-file "$FIXTURES/$fixture.journal"
 done
@@ -78,4 +77,18 @@ for flag in kernels rescale estimate-quality warm-refine; do
     exit 1
   fi
 done
+# The scale route's worst estimate is the max over the --progress block and
+# cut lines; here the cut pass is the worst piece (exit 2 = not reached).
+"$SPARSIFY" --in gen:ba:2000:8:3 --sigma2 10 --seed 42 --partitions 4 \
+    --cut-policy filter --progress > flags/worst.txt 2>&1
+rc=$?
+if { [ "$rc" -ne 0 ] && [ "$rc" -ne 2 ]; } || ! awk '
+    /^  (block|cut) / { for (i = 1; i < NF; ++i)
+                          if ($i == "sigma2" && $(i + 1) > max) max = $(i + 1) }
+    /worst estimate/ { d = $7 - max }
+    END { exit !(max > 0 && d > -0.006 && d < 0.006) }' flags/worst.txt; then
+  echo "FAIL: the worst estimate is not the max over blocks and the cut" >&2
+  cat flags/worst.txt >&2
+  exit 1
+fi
 echo "golden determinism OK ($(wc -l < observed_hashes.txt) outputs)"

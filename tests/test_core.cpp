@@ -14,7 +14,6 @@
 #include <string_view>
 #include <utility>
 
-#include "core/densify.hpp"
 #include "core/edge_filter.hpp"
 #include "core/eigen_estimate.hpp"
 #include "core/embedding.hpp"
@@ -715,7 +714,9 @@ TEST(DensifyLoop, UsesSuppliedBackbone) {
   const SpanningTree tree = max_weight_spanning_tree(g);
   SparsifyOptions opts;
   opts.sigma2 = 25.0;
-  const SparsifyResult res = densify_loop(g, tree, opts);
+  Sparsifier engine(g, tree, opts);
+  engine.run();
+  const SparsifyResult& res = engine.result();
   ASSERT_EQ(res.tree_edges.size(), static_cast<std::size_t>(143));
   for (std::size_t i = 0; i < res.tree_edges.size(); ++i) {
     EXPECT_EQ(res.tree_edges[i], tree.tree_edge_ids()[i]);
@@ -723,7 +724,7 @@ TEST(DensifyLoop, UsesSuppliedBackbone) {
   // Backbone from another graph is rejected.
   const Graph g2 = grid_2d(12, 12);
   const SpanningTree tree2 = max_weight_spanning_tree(g2);
-  EXPECT_THROW((void)densify_loop(g, tree2, opts), std::invalid_argument);
+  EXPECT_THROW((void)Sparsifier(g, tree2, opts), std::invalid_argument);
 }
 
 TEST(SpielmanSrivastava, ProducesConnectedSpectralApproximation) {

@@ -15,6 +15,7 @@
 #include "core/sparsifier_engine.hpp"
 #include "graph/generators/lattice.hpp"
 #include "graph/generators/random_graphs.hpp"
+#include "scale/hierarchical_sparsifier.hpp"
 #include "tree/kruskal.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -357,10 +358,14 @@ TEST(OptionsIo, EnumStringRoundTrips) {
         SimilarityPolicy::kBounded}) {
     EXPECT_EQ(parse_similarity_policy(to_string(p)), p);
   }
+  for (CutPolicy p : {CutPolicy::kKeepAll, CutPolicy::kFilter}) {
+    EXPECT_EQ(parse_cut_policy(to_string(p)), p);
+  }
   EXPECT_THROW((void)parse_backbone_kind("mst"), std::invalid_argument);
   EXPECT_THROW((void)parse_inner_solver_kind("lu"), std::invalid_argument);
   EXPECT_THROW((void)parse_inner_solver_kind("tree-pcg"), std::invalid_argument);
   EXPECT_THROW((void)parse_similarity_policy("strict"), std::invalid_argument);
+  EXPECT_THROW((void)parse_cut_policy("quotient"), std::invalid_argument);
   // Stage names are distinct and never the "?" fallback.
   for (StageKind s : {StageKind::kBackbone, StageKind::kSolverSetup,
                       StageKind::kSpectralEstimate, StageKind::kEmbedding,

@@ -2,7 +2,8 @@
 // its graph/subgraph.hpp extraction primitive: local ↔ global map round
 // trips, the k = 1 bit-for-bit contract against the whole-graph engine,
 // determinism across thread counts, cut-policy semantics, connectivity
-// preservation, assignment validation (singleton / empty blocks), and the
+// preservation, the exact global κ bounded by the pieces' exact κ,
+// assignment validation (singleton / empty blocks), and the
 // shared pipeline: a budget run's leaves fed back as an assignment, and
 // waves of one block matching one wave of all. The out-of-core routes are
 // covered in test_storage.
@@ -10,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -20,8 +23,13 @@
 #include "graph/connectivity.hpp"
 #include "graph/generators/community.hpp"
 #include "graph/generators/lattice.hpp"
+#include "graph/generators/random_graphs.hpp"
 #include "graph/generators/weights.hpp"
+#include "graph/laplacian.hpp"
 #include "graph/subgraph.hpp"
+#include "la/dense_eigen.hpp"
+#include "la/dense_matrix.hpp"
+#include "partition/recursive_bisection.hpp"
 #include "scale/hierarchical_sparsifier.hpp"
 #include "scale/quality.hpp"
 #include "util/rng.hpp"
@@ -164,8 +172,7 @@ TEST(ScaleDriver, K1ViaUserAssignmentAlsoBitForBit) {
 
 TEST(ScaleDriver, DeterministicAcrossThreadCounts) {
   const Graph g = weighted_grid(16, 12, 6);
-  for (const CutPolicy policy :
-       {CutPolicy::kKeepAll, CutPolicy::kFilter, CutPolicy::kQuotient}) {
+  for (const CutPolicy policy : {CutPolicy::kKeepAll, CutPolicy::kFilter}) {
     std::vector<std::vector<EdgeId>> runs;
     for (const int threads : {1, 2, 4}) {
       HierarchicalOptions opts;
@@ -183,8 +190,7 @@ TEST(ScaleDriver, DeterministicAcrossThreadCounts) {
 TEST(ScaleDriver, ConnectivityPreservedEveryPolicy) {
   Rng rng(8);
   const Graph g = planted_partition(240, 4, 0.12, 0.01, rng);
-  for (const CutPolicy policy :
-       {CutPolicy::kKeepAll, CutPolicy::kFilter, CutPolicy::kQuotient}) {
+  for (const CutPolicy policy : {CutPolicy::kKeepAll, CutPolicy::kFilter}) {
     HierarchicalOptions opts;
     opts.partitions = 4;
     opts.cut_policy = policy;
@@ -215,17 +221,6 @@ TEST(ScaleDriver, CutPolicySemantics) {
   ASSERT_TRUE(res_filter.cut_stats.has_value());
   EXPECT_EQ(res_filter.cut_stats->block, kCutBlock);
   EXPECT_EQ(res_filter.cut_stats->edges, res_filter.cut_edges);
-
-  HierarchicalOptions quotient = keep;
-  quotient.cut_policy = CutPolicy::kQuotient;
-  const HierarchicalResult res_q = hierarchical_sparsify(g, quotient);
-  // At most one representative per unordered block pair, plus any
-  // connectivity repairs (bounded by blocks - 1 extra bridges).
-  const Index k = res_q.leaves;
-  EXPECT_LE(res_q.cut_edges_kept, k * (k - 1) / 2 + (k - 1));
-  EXPECT_TRUE(is_connected(g.edge_subgraph(res_q.edges)));
-  // Quotient keeps the fewest cut edges of the three policies.
-  EXPECT_LE(res_q.cut_edges_kept, res_filter.cut_edges_kept);
 }
 
 TEST(ScaleDriver, DisconnectedInputKeepsComponents) {
@@ -313,6 +308,62 @@ TEST(ScaleDriver, BlockStatsInIdOrderThenCutPass) {
   EXPECT_EQ(res.cut_stats->block, kCutBlock);
 }
 
+/// Exact κ(L_A, L_B) (dense pencil oracle) for edge sets B ⊆ A of `g`;
+/// B must span every component of A.
+double exact_kappa(const Graph& g, const std::vector<EdgeId>& a,
+                   const std::vector<EdgeId>& b) {
+  const Vec pencil = dense_generalized_eigenvalues(
+      DenseMatrix::from_csr(laplacian(g.edge_subgraph(a))),
+      DenseMatrix::from_csr(laplacian(g.edge_subgraph(b))));
+  return pencil.back() / pencil.front();
+}
+
+TEST(ScaleDriver, GlobalConditionNumberComposesFromThePieces) {
+  // Units and the cut pass sparsify disjoint edge sets of G, so
+  // L_G = Σ L_Gi and L_P = Σ L_Pi: the exact global κ is bounded by the
+  // exact κ of the pieces (each piece's λ_min is 1 on these graphs).
+  const WeightModel w = WeightModel::log_uniform(0.1, 10.0);
+  Rng rng(27);
+  const std::vector<Graph> graphs = {grid_2d(11, 11, w, &rng),
+                                     erdos_renyi_connected(120, 360, rng, w),
+                                     barabasi_albert(128, 3, rng, w)};
+  for (const Graph& g : graphs) {
+    // The driver's own split (recursive bisection is deterministic).
+    RecursiveBisectionOptions po;
+    po.num_parts = 4;
+    const RecursiveBisectionResult rb = recursive_bisection(g, po);
+    // Pieces: one per unit, then the cut graph.
+    const auto cut_piece = static_cast<std::size_t>(rb.parts);
+    std::vector<std::vector<EdgeId>> piece_g(cut_piece + 1);
+    std::vector<EdgeId> all(static_cast<std::size_t>(g.num_edges()));
+    std::iota(all.begin(), all.end(), EdgeId{0});
+    for (const EdgeId e : all) {
+      const Vertex bu = rb.assignment[static_cast<std::size_t>(g.edge(e).u)];
+      const Vertex bv = rb.assignment[static_cast<std::size_t>(g.edge(e).v)];
+      piece_g[bu == bv ? static_cast<std::size_t>(bu) : cut_piece].push_back(e);
+    }
+    for (const CutPolicy policy : {CutPolicy::kKeepAll, CutPolicy::kFilter}) {
+      HierarchicalOptions opts;
+      opts.partitions = 4;
+      opts.cut_policy = policy;
+      opts.block.sigma2 = 10.0;
+      const HierarchicalResult res = hierarchical_sparsify(g, opts);
+      ASSERT_EQ(res.leaves, rb.parts);
+      const std::set<EdgeId> kept(res.edges.begin(), res.edges.end());
+      double worst_piece = 1.0;
+      for (const std::vector<EdgeId>& edges : piece_g) {
+        if (edges.empty()) continue;
+        std::vector<EdgeId> piece_p;
+        std::copy_if(edges.begin(), edges.end(), std::back_inserter(piece_p),
+                     [&](EdgeId e) { return kept.contains(e); });
+        worst_piece = std::max(worst_piece, exact_kappa(g, edges, piece_p));
+      }
+      EXPECT_LE(exact_kappa(g, all, res.edges), worst_piece * (1.0 + 1e-9))
+          << "policy " << to_string(policy) << ", |V| " << g.num_vertices();
+    }
+  }
+}
+
 TEST(ScaleDriver, QualityAndRescale) {
   // Global quality and the rescale stage run on the stitched sparsifier,
   // outside the driver (as ssp_sparsify --rescale does).
@@ -387,8 +438,7 @@ TEST(ScaleDriver, BudgetLeavesFedBackAsAssignmentReproduceTheRun) {
 
 TEST(ScaleDriver, OneBlockPerWaveMatchesTheUnboundedRun) {
   const Graph g = weighted_grid(18, 16, 18);
-  for (const CutPolicy policy :
-       {CutPolicy::kKeepAll, CutPolicy::kFilter, CutPolicy::kQuotient}) {
+  for (const CutPolicy policy : {CutPolicy::kKeepAll, CutPolicy::kFilter}) {
     HierarchicalOptions unbounded;
     unbounded.partitions = 4;
     unbounded.cut_policy = policy;

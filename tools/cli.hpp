@@ -284,8 +284,7 @@ inline ArgParser& add_scale_options(ArgParser& args) {
   return args
       .option("partitions",
               "partition-parallel blocks k (1 = whole-graph engine)", "1")
-      .option("cut-policy",
-              "inter-block edges: keep-all|filter|quotient", "filter")
+      .option("cut-policy", "inter-block edges: keep-all|filter", "filter")
       .option("cut-sigma2", "σ² target for the cut pass (0 = --sigma2)", "0")
       .flag("estimate-quality",
             "estimate global (λ_min, λ_max, σ²) of the stitched sparsifier")

@@ -12,7 +12,9 @@
 // (scale/hierarchical_sparsifier.hpp): --partitions k splits it into k
 // blocks, --memory-budget-mb into leaves that fit the budget (a `.sspb`
 // input is never materialized whole); one engine per component of each
-// block or leaf, bit-identical for every --threads value — or, with
+// block or leaf, bit-identical for every --threads value, with the
+// inter-block edges kept whole or filtered (--cut-policy keep-all|filter),
+// so the printed worst block/cut estimate bounds the global σ² — or, with
 // --update-file, through the dynamic update layer, replaying an
 // insert/delete/reweight journal batch by batch and re-sparsifying
 // incrementally after each commit. Writes the
@@ -158,15 +160,16 @@ int run_scale(const ssp::cli::ArgParser& args, const std::string& in_path,
               ssp::to_string(opts.cut_policy),
               static_cast<long long>(res.cut_edges_kept),
               static_cast<long long>(res.cut_edges));
+  // Units and the cut pass sparsify disjoint edge sets of G, so their
+  // worst estimate bounds the global σ² (scale/hierarchical_sparsifier.hpp).
   bool reached = true;
   double worst_sigma2 = 0.0;
-  for (const ssp::BlockStats& b : res.leaf_stats) {
+  auto fold = [&](const ssp::BlockStats& b) {
     reached = reached && b.reached_target;
     worst_sigma2 = std::max(worst_sigma2, b.sigma2_estimate);
-  }
-  if (res.cut_stats.has_value()) {
-    reached = reached && res.cut_stats->reached_target;
-  }
+  };
+  for (const ssp::BlockStats& b : res.leaf_stats) fold(b);
+  if (res.cut_stats.has_value()) fold(*res.cut_stats);
   std::printf("leaf sigma2: target %.3f, worst estimate %.3f (%s)\n",
               opts.block.sigma2, worst_sigma2,
               reached ? "reached" : "NOT reached");
