@@ -5,9 +5,7 @@
 //      stability and final edge budget).
 //   C. Similarity policy: none / node-disjoint / bounded (edges and rounds
 //      needed to reach the target).
-//   D. Inner solver: per-round min-degree Cholesky of L_P vs AMG
-//      (densification time) on two meshes and a scale-free graph.
-//   E. Edge rescaling extension: two-sided sigma^2 before/after.
+//   D. Edge rescaling extension: two-sided sigma^2 before/after.
 
 #include <benchmark/benchmark.h>
 
@@ -187,45 +185,9 @@ void ablation_similarity() {
   }
 }
 
-void ablation_inner_solver() {
-  bench::print_banner("Ablation D — inner L_P solver during densification");
-  std::printf("%-10s %-10s %10s %12s %10s\n", "graph", "solver", "|Es|",
-              "sigma2_est", "time(s)");
-  bench::print_rule(60);
-  struct Item {
-    const char* name;
-    Graph graph;
-  };
-  std::vector<Item> graphs;
-  graphs.push_back({"grid", bench::g3_circuit_proxy(dim(120, 400), 605)});
-  graphs.push_back({"tri", bench::thermal2_proxy(dim(110, 380), 606)});
-  graphs.push_back({"dblp", bench::dblp_proxy(dim(15000, 100000), 608)});
-  for (Item& item : graphs) {
-    for (InnerSolverKind kind :
-         {InnerSolverKind::kCholesky, InnerSolverKind::kAmg}) {
-      SparsifyOptions opts;
-      opts.sigma2 = 80.0;
-      opts.inner_solver = kind;
-      const WallTimer t;
-      const SparsifyResult res = sparsify(item.graph, opts);
-      std::printf("%-10s %-10s %10lld %12.1f %9.2fs\n", item.name,
-                  to_string(kind),
-                  static_cast<long long>(res.num_edges()),
-                  res.sigma2_estimate, t.seconds());
-      report().section("inner_solver").push(
-          Json::object()
-              .set("graph", item.name)
-              .set("solver", to_string(kind))
-              .set("edges", static_cast<long long>(res.num_edges()))
-              .set("sigma2_estimate", res.sigma2_estimate)
-              .set("seconds", t.seconds()));
-    }
-  }
-}
-
 void ablation_rescale() {
   bench::print_banner(
-      "Ablation E — scalar edge re-scaling extension (paper §3.1 pointer)");
+      "Ablation D — scalar edge re-scaling extension (paper §3.1 pointer)");
   const Graph g = bench::g3_circuit_proxy(dim(120, 400), 607);
   const SparsifyResult res = sparsify(g, {.sigma2 = 100.0});
   const RescaleResult rr = rescale_sparsifier(g, res);
@@ -262,7 +224,6 @@ int main(int argc, char** argv) {
   ablation_backbone();
   ablation_embedding();
   ablation_similarity();
-  ablation_inner_solver();
   ablation_rescale();
   report().write();
   benchmark::Initialize(&argc, argv);

@@ -12,7 +12,6 @@
 /// the defaults are laptop-scale and finish each binary in well under two
 /// minutes while preserving every trend.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -321,38 +320,6 @@ class StageSeconds {
 
   std::map<std::string, double> seconds_;
 };
-
-// ---- Latency summaries ----
-
-/// Nearest-rank percentile over an ascending-sorted sample vector;
-/// q in [0,1]. Shared by every bench that reports latency percentiles so
-/// BENCH_*.json fields agree on one definition.
-inline double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-/// Full distribution summary of a latency sample (any unit — callers
-/// scale before or after): count/min/mean/max plus the percentile ladder
-/// the perf-trajectory tracking plots. Sorts a copy; samples need not be
-/// ordered.
-inline Json latency_summary(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  double sum = 0.0;
-  for (const double s : samples) sum += s;
-  const auto n = static_cast<double>(samples.size());
-  return Json::object()
-      .set("count", samples.size())
-      .set("min", samples.empty() ? 0.0 : samples.front())
-      .set("mean", samples.empty() ? 0.0 : sum / n)
-      .set("p50", percentile(samples, 0.50))
-      .set("p90", percentile(samples, 0.90))
-      .set("p95", percentile(samples, 0.95))
-      .set("p99", percentile(samples, 0.99))
-      .set("max", samples.empty() ? 0.0 : samples.back());
-}
 
 /// Accumulates one bench binary's structured results and writes them to
 /// `BENCH_<name>.json` in the working directory (explicitly via write(),

@@ -102,7 +102,7 @@ void print_table1(bench::Report& report) {
 
     // --- "Exact" references: long Lanczos runs with an exact L_G solver
     // (sparse Cholesky), so the reverse-pencil spectrum is not polluted by
-    // inner-solver noise. ---
+    // inner solver noise. ---
     const PencilEigenEstimate fwd =
         pencil_extreme_eigenvalues(lg, lp, solve_p, /*steps=*/60, rng);
     const SparseCholesky chol_g = SparseCholesky::factor_laplacian(lg);

@@ -20,16 +20,6 @@ const char* to_string(BackboneKind kind) {
   return "?";
 }
 
-const char* to_string(InnerSolverKind kind) {
-  switch (kind) {
-    case InnerSolverKind::kCholesky:
-      return "cholesky";
-    case InnerSolverKind::kAmg:
-      return "amg";
-  }
-  return "?";
-}
-
 const char* to_string(SimilarityPolicy policy) {
   switch (policy) {
     case SimilarityPolicy::kNone:
@@ -93,18 +83,6 @@ BackboneKind parse_backbone_kind(const std::string& name) {
   if (name == "spt") return BackboneKind::kShortestPath;
   throw std::invalid_argument("unknown backbone '" + name +
                               "' (akpw|kruskal|spt)");
-}
-
-InnerSolverKind parse_inner_solver_kind(const std::string& name) {
-  if (name == "cholesky") return InnerSolverKind::kCholesky;
-  if (name == "amg") return InnerSolverKind::kAmg;
-  if (name == "tree-pcg") {
-    throw std::invalid_argument(
-        "inner solver 'tree-pcg' was replaced by 'cholesky' (an exact "
-        "factorization of L_P per round); use cholesky|amg");
-  }
-  throw std::invalid_argument("unknown inner solver '" + name +
-                              "' (cholesky|amg)");
 }
 
 SimilarityPolicy parse_similarity_policy(const std::string& name) {

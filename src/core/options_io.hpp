@@ -18,9 +18,6 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 /// "akpw" | "kruskal" | "spt"
 [[nodiscard]] const char* to_string(BackboneKind kind);
 
-/// "cholesky" | "amg"
-[[nodiscard]] const char* to_string(InnerSolverKind kind);
-
 /// "none" | "node-disjoint" | "bounded"
 [[nodiscard]] const char* to_string(SimilarityPolicy policy);
 
@@ -37,9 +34,6 @@ enum class DynamicStage;  // full definition in dynamic/dynamic_sparsifier.hpp
 /// Inverse of to_string(BackboneKind); throws std::invalid_argument naming
 /// the accepted spellings.
 [[nodiscard]] BackboneKind parse_backbone_kind(const std::string& name);
-
-/// Inverse of to_string(InnerSolverKind).
-[[nodiscard]] InnerSolverKind parse_inner_solver_kind(const std::string& name);
 
 /// Inverse of to_string(SimilarityPolicy).
 [[nodiscard]] SimilarityPolicy parse_similarity_policy(const std::string& name);

@@ -27,10 +27,6 @@ void check_max_edges_per_round(EdgeId cap) {
 void check_node_cap(Index cap) {
   SSP_REQUIRE(cap >= 1, "sparsify: node_cap must be >= 1");
 }
-void check_solver_tolerance(double tol) {
-  SSP_REQUIRE(tol > 0.0 && tol < 1.0,
-              "sparsify: solver_tolerance must be in (0,1)");
-}
 void check_lambda_max_iterations(Index iterations) {
   SSP_REQUIRE(iterations >= 1,
               "sparsify: lambda_max_iterations must be >= 1");
@@ -47,7 +43,6 @@ void SparsifyOptions::validate() const {
   check_num_vectors(num_vectors);
   check_max_rounds(max_rounds);
   check_max_edges_per_round(max_edges_per_round);
-  check_solver_tolerance(solver_tolerance);
   check_lambda_max_iterations(lambda_max_iterations);
   check_threads(threads);
   // Cross-field: node_cap only matters when a capped policy is active,
@@ -98,17 +93,6 @@ SparsifyOptions& SparsifyOptions::with_similarity(SimilarityPolicy policy) {
 SparsifyOptions& SparsifyOptions::with_node_cap(Index cap) {
   check_node_cap(cap);
   node_cap = cap;
-  return *this;
-}
-
-SparsifyOptions& SparsifyOptions::with_inner_solver(InnerSolverKind kind) {
-  inner_solver = kind;
-  return *this;
-}
-
-SparsifyOptions& SparsifyOptions::with_solver_tolerance(double tol) {
-  check_solver_tolerance(tol);
-  solver_tolerance = tol;
   return *this;
 }
 

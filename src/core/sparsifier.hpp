@@ -55,20 +55,16 @@ enum class BackboneKind {
   kShortestPath  ///< Dijkstra SPT from a max-degree center
 };
 
-/// Inner solver used to apply L_P⁺ during estimation/embedding (§3.7
-/// step 1; the paper uses graph-theoretic AMG [13,24]). Rounds whose P is
-/// still the bare backbone always use the exact O(n) tree solver.
-enum class InnerSolverKind {
-  kCholesky,  ///< sparse Cholesky of L_P, AMD ordered (default)
-  kAmg        ///< aggregation AMG V-cycles
-};
-
 /// The engine's one heat/spectral estimator: the paper's smoothed JL
 /// embedding (r random probes through t generalized power iterations
 /// against L_P⁺ L_G) with power-iteration λ_max. Kept only so callers
 /// written against `with_estimation()` still compile.
 enum class EstimationMode { kPower };
 
+/// No option picks the inner solver that applies L_P⁺ (§3.7 step 1): the
+/// engine factors L_P exactly while the factor stays sparse, and hands
+/// the rest of a run to AMG once it would fill in (see
+/// `Sparsifier::make_solver`).
 struct SparsifyOptions {
   /// Target upper bound σ² on the relative condition number κ(L_G, L_P).
   double sigma2 = 100.0;
@@ -87,19 +83,6 @@ struct SparsifyOptions {
   SimilarityPolicy similarity = SimilarityPolicy::kNodeDisjoint;
   /// Per-endpoint budget for SimilarityPolicy::kBounded.
   Index node_cap = 2;
-  /// Cholesky default: P is a spanning tree plus a small share of
-  /// off-tree edges, so an approximate-minimum-degree factor of L_P stays
-  /// near |Es| nonzeros and is built once per round; every λ_max and
-  /// embedding solve is then two exact triangular sweeps (see the
-  /// inner-solver ablation).
-  /// Where the factor fills in (expander-like graphs at a tight σ²), the
-  /// first round past the engine's fill budget and every later round of
-  /// the run use AMG instead.
-  InnerSolverKind inner_solver = InnerSolverKind::kCholesky;
-  /// Relative tolerance of the inner L_P solves in AMG rounds (kAmg, or
-  /// kCholesky past its fill budget; heat ranking and λ_max estimation
-  /// tolerate loose solves). The Cholesky solves are exact and ignore it.
-  double solver_tolerance = 1e-4;
   /// Generalized power iterations for the λ_max estimate (§3.6.1).
   Index lambda_max_iterations = 10;
   /// Worker threads for the engine's own parallel stages (probe-vector
@@ -133,8 +116,6 @@ struct SparsifyOptions {
   SparsifyOptions& with_max_edges_per_round(EdgeId cap);
   SparsifyOptions& with_similarity(SimilarityPolicy policy);
   SparsifyOptions& with_node_cap(Index cap);
-  SparsifyOptions& with_inner_solver(InnerSolverKind kind);
-  SparsifyOptions& with_solver_tolerance(double tol);
   SparsifyOptions& with_lambda_max_iterations(Index iterations);
   SparsifyOptions& with_threads(int n);
   SparsifyOptions& with_seed(std::uint64_t value);

@@ -77,8 +77,9 @@ void Sparsifier::bind_backbone(const SpanningTree& backbone) {
 
 namespace {
 
-// Fill guard of the kCholesky inner solver. While P is ultra-sparse its
-// min-degree factor holds 1-4 nonzeros per nonzero of L_P (meshes about 1;
+// Fill guard of the inner solver, the one place that picks between an
+// exact factor of L_P and AMG. While P is ultra-sparse its min-degree
+// factor holds 1-4 nonzeros per nonzero of L_P (meshes about 1;
 // scale-free, kNN and 3-D grid sparsifiers 2-4 at sigma^2 = 100). On
 // expander-like inputs at a tight sigma^2 the fill grows every round; at
 // about 8 one factorization costs as much as a whole AMG round (random
@@ -91,6 +92,9 @@ namespace {
 // explicitly, and its size plus one is that factor column's nonzeros.
 constexpr Index kMaxFactorFill = 8;
 constexpr Index kAlwaysFactorNnz = Index{1} << 16;
+// Relative tolerance of the AMG solves past the fill budget: heat ranking
+// and the λ_max estimate tolerate loose solves.
+constexpr double kAmgSolveTolerance = 1e-4;
 
 }  // namespace
 
@@ -109,8 +113,7 @@ LinOp Sparsifier::make_solver(double* setup_seconds, PanelOp* panel) {
     // Both solvers copy what they need out of L_P, so it is not kept.
     const CsrMatrix lp = laplacian(*g_, result_.edges);
     bool factored = false;
-    if (opts_.inner_solver == InnerSolverKind::kCholesky &&
-        !factor_over_budget_) {
+    if (!factor_over_budget_) {
       const Index budget =
           std::max(kMaxFactorFill * lp.nnz(), kAlwaysFactorNnz);
       factored = chol_.refactor_laplacian(
@@ -121,7 +124,7 @@ LinOp Sparsifier::make_solver(double* setup_seconds, PanelOp* panel) {
     }
     if (!factored) {
       amg_ = AmgHierarchy::build(lp);
-      solve_p = make_amg_op(amg_, opts_.solver_tolerance, 200);
+      solve_p = make_amg_op(amg_, kAmgSolveTolerance, 200);
     }
   }
   if (setup_seconds != nullptr) *setup_seconds = timer.seconds();

@@ -82,7 +82,7 @@ namespace ssp {
 /// `engine.<stage>` span, named by `to_string(StageKind)`.
 enum class StageKind {
   kBackbone,          ///< spanning-tree backbone construction
-  kSolverSetup,       ///< L_P assembly and inner-solver (re)build
+  kSolverSetup,       ///< L_P assembly and inner solver (re)build
   kSpectralEstimate,  ///< (λ_min, λ_max) estimation (§3.6)
   kEmbedding,         ///< Joule-heat embedding of off-tree edges (§3.2)
   kFiltering,         ///< θ_σ filter + dissimilar batch selection (§3.5/3.7)
@@ -217,8 +217,8 @@ class Sparsifier {
   /// Builds the L_P⁺ operator for the current sparsifier: the backbone tree
   /// solver while P is the bare tree, otherwise a fresh factorization of
   /// L_P (min-degree sparse Cholesky into the reused factor and workspace;
-  /// exact solves) or AMG hierarchy (kAmg, or kCholesky once a factor
-  /// exceeded the fill budget; solves to solver_tolerance).
+  /// exact solves) or, from the first round whose factor would exceed the
+  /// fill budget on, an AMG hierarchy solved to a fixed loose tolerance.
   /// When `panel` is non-null and the sparsifier supports a blocked
   /// multi-RHS apply (the tree-only rounds), `*panel` receives the panel
   /// form; otherwise it is left empty and callers fall back to column-wise
@@ -245,12 +245,12 @@ class Sparsifier {
 
   // Engine-owned workspace, reused every round.
   std::vector<char> in_p_;       ///< sparsifier membership per edge id
-  SparseCholesky chol_;          ///< current L_P factor (kCholesky only)
+  SparseCholesky chol_;          ///< current L_P factor
   CholeskyWorkspace chol_ws_;    ///< ordering/etree/pass scratch for chol_
   /// Set once a round's L_P factor exceeds the fill budget; the rest of
   /// the run (P only grows) uses AMG. Cleared when a backbone is bound.
   bool factor_over_budget_ = false;
-  AmgHierarchy amg_;             ///< current AMG hierarchy (kAmg only)
+  AmgHierarchy amg_;             ///< current AMG hierarchy (over budget)
   EmbeddingWorkspace emb_ws_;    ///< power-iteration vectors
   OffTreeEmbedding emb_;         ///< off-tree heats, refilled in place
 

@@ -14,8 +14,8 @@
 /// Before this header, each tool grew its own subset (ssp_serve parsed
 /// `gen:` specs, the others only took `.mtx` paths), so the same spec
 /// meant different things in different binaries. Now classification and
-/// loading live here once; `serve::load_session_graph` and the tools are
-/// thin wrappers.
+/// loading live here once, and the tools and the serve layer call
+/// `load_graph_source` directly.
 
 #include <string>
 

@@ -241,7 +241,6 @@ void HierarchicalOptions::validate() const {
   SSP_REQUIRE(partitions >= 1, "HierarchicalOptions: partitions must be >= 1");
   SSP_REQUIRE(threads >= 0, "HierarchicalOptions: threads must be >= 0");
   block.validate();
-  if (cut.has_value()) cut->validate();
 }
 
 HierarchicalOptions& HierarchicalOptions::with_partitions(Index k) {
@@ -265,13 +264,6 @@ HierarchicalOptions& HierarchicalOptions::with_block_options(
     SparsifyOptions opts) {
   opts.validate();
   block = std::move(opts);
-  return *this;
-}
-
-HierarchicalOptions& HierarchicalOptions::with_cut_options(
-    SparsifyOptions opts) {
-  opts.validate();
-  cut = std::move(opts);
   return *this;
 }
 
@@ -497,13 +489,11 @@ void HierarchicalSparsifier::run_units(std::vector<Vertex> unit_of,
       break;
     case CutPolicy::kFilter: {
       const Subgraph cut_graph = cut_subgraph(g_, unit_of);
-      const SparsifyOptions& cut_opts =
-          opts_.cut.has_value() ? *opts_.cut : opts_.block;
       // Cut streams start at the unit count so they never collide with
-      // unit streams (even when the cut pass shares the block seed).
+      // unit streams.
       std::vector<ComponentTask> tasks;
       make_tasks(cut_graph, kCutBlock, static_cast<std::uint64_t>(units),
-                 Rng(cut_opts.seed), cut_opts, tasks);
+                 parent, opts_.block, tasks);
       run_tasks(tasks, opts_.threads);
       for (const ComponentTask& task : tasks) {
         cut_kept.insert(cut_kept.end(), task.selected.begin(),

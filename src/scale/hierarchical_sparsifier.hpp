@@ -27,7 +27,8 @@
 ///     ThreadPool; components that are already trees are kept verbatim
 ///     (κ = 1). Only one wave's subgraphs live on the heap at a time.
 ///  4. **Cut**: inter-unit edges per `CutPolicy`: keep them all (the
-///     default) or filter them with an engine pass over the cut graph.
+///     default) or filter them with an engine pass over the cut graph,
+///     run with the unit passes' `block` options.
 ///  5. **Stitch**: unit selections in unit order, then the kept cut
 ///     edges. Every unit component and every cut-graph component keeps a
 ///     spanning tree, so the sparsifier connects exactly what G connects
@@ -92,25 +93,23 @@ struct HierarchicalOptions {
   /// an assignment it also drives the split. 0 = unbounded.
   std::uint64_t memory_budget_bytes = 0;
   CutPolicy cut_policy = CutPolicy::kKeepAll;
-  /// Engine options for the unit passes; `block.seed` roots every derived
-  /// stream. The whole-graph path uses `block` verbatim (threads
-  /// included); inside units engines run single-threaded.
+  /// Engine options for the unit passes and the kFilter cut pass;
+  /// `block.seed` roots every derived stream. The whole-graph path uses
+  /// `block` verbatim (threads included); inside units engines run
+  /// single-threaded.
   SparsifyOptions block;
-  /// Engine options for the kFilter cut pass; defaults to `block`.
-  std::optional<SparsifyOptions> cut;
   /// Concurrent component engines (0 = `ssp::default_threads()`). Changes
   /// wall time only, never the result.
   int threads = 0;
 
   /// Throws std::invalid_argument on the first violated constraint
-  /// (including `block.validate()` / `cut->validate()`).
+  /// (including `block.validate()`).
   void validate() const;
 
   HierarchicalOptions& with_partitions(Index k);
   HierarchicalOptions& with_memory_budget_bytes(std::uint64_t bytes);
   HierarchicalOptions& with_cut_policy(CutPolicy policy);
   HierarchicalOptions& with_block_options(SparsifyOptions opts);
-  HierarchicalOptions& with_cut_options(SparsifyOptions opts);
   HierarchicalOptions& with_threads(int n);
 };
 

@@ -3,9 +3,9 @@
 /// \file client.hpp
 /// Minimal blocking client for the serving protocol — one request line
 /// out, one status line (plus any announced payload) back. Used by the
-/// `ssp_client` tool, the `bench_serve` load generator, and the serve
-/// test suite; scripted clients stay in lockstep because every request
-/// yields exactly one status line and `n=<k>` announces payload sizes.
+/// `ssp_client` tool and the serve test suite; scripted clients stay in
+/// lockstep because every request yields exactly one status line and
+/// `n=<k>` announces payload sizes.
 
 #include <string>
 #include <vector>

@@ -342,12 +342,6 @@ bool valid_session_name(const std::string& name) {
 
 }  // namespace
 
-Graph load_session_graph(const std::string& source) {
-  // Thin wrapper kept for the serve API: all classification (gen: specs,
-  // .sspb binaries, Matrix Market) lives in graph/graph_source.hpp now.
-  return load_graph_source(source);
-}
-
 // ---- SessionManager --------------------------------------------------------
 
 SessionManager::SessionManager(ServeOptions opts) : opts_(std::move(opts)) {
@@ -385,7 +379,7 @@ std::shared_ptr<Session> SessionManager::open(const std::string& name,
     sessions_[name] = nullptr;  // reserve while we build outside the lock
   }
   try {
-    const Graph g = load_session_graph(source);
+    const Graph g = load_graph_source(source);
     SessionPersist persist = persist_for(name);
     if (persist.enabled()) {
       std::filesystem::create_directories(opts_.state_dir);
@@ -433,7 +427,7 @@ std::vector<std::string> SessionManager::restore_all() {
       // stale uncommitted ops left in place would merge into the next
       // committed batch and poison the *following* restart's replay.
       truncate_stored_session(persist.journal_path, stored);
-      const Graph g = load_session_graph(stored.source);
+      const Graph g = load_graph_source(stored.source);
       std::optional<storage::SparsifierCheckpoint> ckpt;
       if (std::filesystem::exists(persist.checkpoint_path)) {
         ckpt = storage::load_checkpoint(persist.checkpoint_path);

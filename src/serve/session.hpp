@@ -215,21 +215,6 @@ class Session {
   std::ofstream journal_file_;  ///< append handle, opened lazily
 };
 
-/// Builds a session graph from `source`: a Matrix Market path, or a
-/// generator spec
-///
-/// ```
-/// gen:grid2d:<nx>x<ny>[:<seed>]    % 2-D grid, log-uniform weights
-/// gen:tri:<nx>x<ny>[:<seed>]      % triangulated grid, uniform weights
-/// gen:ba:<n>:<m>[:<seed>]         % preferential attachment, unit weights
-/// gen:planted:<n>:<k>[:<seed>]    % planted partition, uniform weights
-/// ```
-///
-/// The same spec always yields the same graph (explicit seed, default 1).
-/// Throws std::invalid_argument on malformed specs, std::runtime_error on
-/// unreadable files.
-[[nodiscard]] Graph load_session_graph(const std::string& source);
-
 /// Named-session table with admission control. Thread-safe.
 class SessionManager {
  public:

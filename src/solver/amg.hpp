@@ -33,9 +33,8 @@ struct AmgOptions {
   Index coarse_size = 64;     ///< stop coarsening at this many vertices
   int pre_sweeps = 1;
   int post_sweeps = 1;
-  /// Jacobi default: ~2x cheaper per sweep in this implementation and the
-  /// V-cycle count difference does not make GS win in wall time (see the
-  /// inner-solver ablation).
+  /// Jacobi default: one pass over the matrix per sweep, where symmetric
+  /// Gauss–Seidel makes a forward and a backward pass, each sequential.
   Smoother smoother = Smoother::kJacobi;
   double jacobi_weight = 0.67;
   /// Deflate the constant vector at the finest level (graph Laplacians).

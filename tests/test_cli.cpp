@@ -200,6 +200,7 @@ TEST(Cli, RejectsUnregisteredOptionsNamingThem) {
     Argv a(std::move(argv));
     ArgParser p("prog", "test");
     add_sparsify_options(p);
+    add_scale_options(p);
     try {
       (void)p.parse(a.argc(), a.argv());
     } catch (const std::invalid_argument& e) {
@@ -215,6 +216,15 @@ TEST(Cli, RejectsUnregisteredOptionsNamingThem) {
   EXPECT_EQ(error_of({"prog", "--sigma2", "50", "--bogus"}),
             "unknown option --bogus");
   EXPECT_EQ(error_of({"prog", "--sigma2=50", "--seed", "7"}), "");
+  // The engine's fill guard picks the inner solver and its AMG tolerance,
+  // and the filter cut pass runs with the block options, so no flag sets
+  // them.
+  EXPECT_EQ(error_of({"prog", "--inner-solver", "amg"}),
+            "unknown option --inner-solver");
+  EXPECT_EQ(error_of({"prog", "--solver-tolerance", "1e-3"}),
+            "unknown option --solver-tolerance");
+  EXPECT_EQ(error_of({"prog", "--cut-sigma2", "5"}),
+            "unknown option --cut-sigma2");
 
   // Through the tool scaffold: exit code 1, and the body never runs.
   Argv a({"prog", "--definitely-bogus", "3", "--sigma", "50"});
@@ -258,37 +268,6 @@ TEST(Cli, ServeOptionsDefaultsAndOverrides) {
     EXPECT_EQ(config.serve.max_sessions, 4);
     EXPECT_EQ(config.serve.max_queued_batches, 2);
     EXPECT_DOUBLE_EQ(config.serve.drain_seconds, 0.5);
-  }
-}
-
-TEST(Cli, InnerSolverDefaultsToCholeskyAndRejectsTreePcg) {
-  {
-    Argv a({"prog"});
-    ArgParser p("prog", "test");
-    add_sparsify_options(p);
-    ASSERT_TRUE(p.parse(a.argc(), a.argv()));
-    EXPECT_EQ(sparsify_options_from(p).inner_solver,
-              InnerSolverKind::kCholesky);
-  }
-  {
-    Argv a({"prog", "--inner-solver", "amg"});
-    ArgParser p("prog", "test");
-    add_sparsify_options(p);
-    ASSERT_TRUE(p.parse(a.argc(), a.argv()));
-    EXPECT_EQ(sparsify_options_from(p).inner_solver, InnerSolverKind::kAmg);
-  }
-  {
-    // The removed solver names its replacement instead of a generic error.
-    Argv a({"prog", "--inner-solver", "tree-pcg"});
-    ArgParser p("prog", "test");
-    add_sparsify_options(p);
-    ASSERT_TRUE(p.parse(a.argc(), a.argv()));
-    try {
-      (void)sparsify_options_from(p);
-      ADD_FAILURE() << "tree-pcg must be rejected";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("cholesky"), std::string::npos);
-    }
   }
 }
 

@@ -581,17 +581,19 @@ TEST(Sparsify, FillGuardHandsExpanderRoundsToAmg) {
   // On an expander at a tight σ² the per-round factor of L_P fills in as P
   // grows. The first round whose factor would exceed the fill budget stops
   // in the ordering, and that round and the rest of the run solve with AMG
-  // instead. A mesh sparsifier's factor stays near nnz(L_P) and is always
-  // built.
+  // instead. The AMG rounds still reach the target; the default 24 rounds
+  // stop short of σ² = 10 here, hence 64. A mesh sparsifier's factor stays
+  // near nnz(L_P) and is always built.
   obs::set_metrics_enabled(true);
   obs::reset_metrics_for_tests();
   Rng rng(41);
   const Graph expander = erdos_renyi_connected(1500, 15000, rng);
-  const SparsifyResult res =
-      sparsify(expander, SparsifyOptions{}.with_sigma2(10.0));
+  const SparsifyResult res = sparsify(
+      expander, SparsifyOptions{}.with_sigma2(10.0).with_max_rounds(64));
   EXPECT_EQ(counter_value("solver.cholesky.over_budget"), 1u);
   EXPECT_GT(counter_value("solver.cholesky.factors"), 0u);
   EXPECT_GT(res.num_edges(), expander.num_vertices() - 1);
+  EXPECT_TRUE(res.reached_target) << "sigma2 " << res.sigma2_estimate;
 
   obs::reset_metrics_for_tests();
   Rng mesh_rng(42);
@@ -644,25 +646,6 @@ TEST(Sparsify, BackboneKindsAllWork) {
     EXPECT_TRUE(res.reached_target) << "backbone " << static_cast<int>(kind);
     EXPECT_TRUE(is_connected(res.extract(g)));
   }
-}
-
-TEST(Sparsify, AmgInnerSolverAgreesWithCholesky) {
-  Rng rng(13);
-  const Graph g = grid_2d(16, 16, WeightModel::uniform(0.5, 2.0), &rng);
-  SparsifyOptions a;
-  a.sigma2 = 40.0;
-  a.inner_solver = InnerSolverKind::kCholesky;
-  SparsifyOptions b = a;
-  b.inner_solver = InnerSolverKind::kAmg;
-  const SparsifyResult ra = sparsify(g, a);
-  const SparsifyResult rb = sparsify(g, b);
-  EXPECT_TRUE(ra.reached_target);
-  EXPECT_TRUE(rb.reached_target);
-  // Both reach the target with comparable edge budgets (within 2x).
-  const double ratio = static_cast<double>(ra.num_edges()) /
-                       static_cast<double>(rb.num_edges());
-  EXPECT_GT(ratio, 0.5);
-  EXPECT_LT(ratio, 2.0);
 }
 
 TEST(Sparsify, InputValidation) {

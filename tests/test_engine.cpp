@@ -301,10 +301,6 @@ TEST(Options, NamedSettersValidateEagerly) {
   EXPECT_THROW(SparsifyOptions{}.with_max_edges_per_round(-1),
                std::invalid_argument);
   EXPECT_THROW(SparsifyOptions{}.with_node_cap(0), std::invalid_argument);
-  EXPECT_THROW(SparsifyOptions{}.with_solver_tolerance(0.0),
-               std::invalid_argument);
-  EXPECT_THROW(SparsifyOptions{}.with_solver_tolerance(1.0),
-               std::invalid_argument);
   EXPECT_THROW(SparsifyOptions{}.with_lambda_max_iterations(0),
                std::invalid_argument);
 
@@ -317,8 +313,6 @@ TEST(Options, NamedSettersValidateEagerly) {
                         .with_max_edges_per_round(100)
                         .with_similarity(SimilarityPolicy::kBounded)
                         .with_node_cap(4)
-                        .with_inner_solver(InnerSolverKind::kAmg)
-                        .with_solver_tolerance(1e-3)
                         .with_lambda_max_iterations(6)
                         .with_seed(123);
   EXPECT_DOUBLE_EQ(opts.sigma2, 42.0);
@@ -329,8 +323,6 @@ TEST(Options, NamedSettersValidateEagerly) {
   EXPECT_EQ(opts.max_edges_per_round, 100);
   EXPECT_EQ(opts.similarity, SimilarityPolicy::kBounded);
   EXPECT_EQ(opts.node_cap, 4);
-  EXPECT_EQ(opts.inner_solver, InnerSolverKind::kAmg);
-  EXPECT_DOUBLE_EQ(opts.solver_tolerance, 1e-3);
   EXPECT_EQ(opts.lambda_max_iterations, 6);
   EXPECT_EQ(opts.seed, 123u);
   EXPECT_NO_THROW(opts.validate());
@@ -350,9 +342,6 @@ TEST(OptionsIo, EnumStringRoundTrips) {
                          BackboneKind::kShortestPath}) {
     EXPECT_EQ(parse_backbone_kind(to_string(k)), k);
   }
-  for (InnerSolverKind k : {InnerSolverKind::kCholesky, InnerSolverKind::kAmg}) {
-    EXPECT_EQ(parse_inner_solver_kind(to_string(k)), k);
-  }
   for (SimilarityPolicy p :
        {SimilarityPolicy::kNone, SimilarityPolicy::kNodeDisjoint,
         SimilarityPolicy::kBounded}) {
@@ -362,8 +351,6 @@ TEST(OptionsIo, EnumStringRoundTrips) {
     EXPECT_EQ(parse_cut_policy(to_string(p)), p);
   }
   EXPECT_THROW((void)parse_backbone_kind("mst"), std::invalid_argument);
-  EXPECT_THROW((void)parse_inner_solver_kind("lu"), std::invalid_argument);
-  EXPECT_THROW((void)parse_inner_solver_kind("tree-pcg"), std::invalid_argument);
   EXPECT_THROW((void)parse_similarity_policy("strict"), std::invalid_argument);
   EXPECT_THROW((void)parse_cut_policy("quotient"), std::invalid_argument);
   // Stage names are distinct and never the "?" fallback.

@@ -24,6 +24,7 @@
 
 #include "dynamic/dynamic_sparsifier.hpp"
 #include "dynamic/update_journal.hpp"
+#include "graph/graph_source.hpp"
 #include "serve/client.hpp"
 #include "serve/connection.hpp"
 #include "serve/protocol.hpp"
@@ -100,52 +101,6 @@ TEST(Protocol, StatusHelpers) {
   EXPECT_EQ(payload_count("ok n=3 commits=1").value_or(0), 3u);
   EXPECT_EQ(payload_count("ok batch=2").has_value(), false);
   EXPECT_EQ(error_line("parse", "bad\nline"), "err parse: bad line");
-}
-
-// ---- Graph sources ----------------------------------------------------------
-
-TEST(GraphSource, GenSpecsAreDeterministic) {
-  const Graph a = load_session_graph("gen:grid2d:6x5:7");
-  const Graph b = load_session_graph("gen:grid2d:6x5:7");
-  ASSERT_EQ(a.num_vertices(), 30);
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  bool identical = true;
-  for (EdgeId e = 0; e < a.num_edges(); ++e) {
-    identical = identical && a.edge(e).u == b.edge(e).u &&
-                a.edge(e).v == b.edge(e).v &&
-                a.edge(e).weight == b.edge(e).weight;
-  }
-  EXPECT_TRUE(identical);
-  // A different seed yields different weights.
-  const Graph c = load_session_graph("gen:grid2d:6x5:8");
-  bool differs = false;
-  for (EdgeId e = 0; e < a.num_edges(); ++e) {
-    differs = differs || a.edge(e).weight != c.edge(e).weight;
-  }
-  EXPECT_TRUE(differs);
-  // Every family parses.
-  EXPECT_GT(load_session_graph("gen:tri:5x5").num_edges(), 0);
-  EXPECT_GT(load_session_graph("gen:ba:32:2").num_edges(), 0);
-  EXPECT_GT(load_session_graph("gen:planted:64:4").num_edges(), 0);
-}
-
-TEST(GraphSource, RejectsMalformedSpecs) {
-  EXPECT_THROW((void)load_session_graph("gen:grid2d"), std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("gen:grid2d:6"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("gen:grid2d:axb"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("gen:grid2d:1x5"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("gen:grid2d:6x5:7:9"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("gen:nosuch:6x5"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("gen:ba:32"), std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("gen:ba:32:-1"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_session_graph("/no/such/file.mtx"),
-               std::runtime_error);
 }
 
 // ---- Options validation -----------------------------------------------------
@@ -242,7 +197,7 @@ TEST(Sessions, CommitMatchesOfflineReplayAndJournalsApplyOrder) {
   std::ostringstream text;
   for (const std::string& line : journal) text << line << "\n";
   std::istringstream in(text.str());
-  DynamicSparsifier offline(load_session_graph("gen:grid2d:8x8"),
+  DynamicSparsifier offline(load_graph_source("gen:grid2d:8x8"),
                             test_dynamic_options());
   for (const JournalBatch& batch : parse_update_journal(in)) {
     offline.apply(resolve_journal_batch(offline.graph(), batch));
@@ -428,7 +383,7 @@ TEST(Protocol, SnapshotWritesTheSparsifier) {
       "/tmp/ssp_serve_snapshot_" + std::to_string(::getpid()) + ".mtx";
   const Reply snap = conn.handle_line("snapshot " + path);
   EXPECT_EQ(snap.status.rfind("ok wrote=", 0), 0u);
-  const Graph round_trip = load_session_graph(path);
+  const Graph round_trip = load_graph_source(path);
   EXPECT_EQ(round_trip.num_vertices(), 36);
   EXPECT_EQ(round_trip.num_edges(),
             manager.attach("g1")->info().sparsifier_edges);
@@ -512,10 +467,13 @@ TEST(Server, RefusesClientsBeyondTheAdmissionCap) {
 }
 
 /// The tentpole contract, end to end over real sockets: several clients
-/// interleave commits against one session; whatever order the server
-/// observed, replaying its committed journal offline reproduces the
-/// sparsifier bit for bit — at 1 and 4 engine threads.
+/// interleave commits against each of two sessions at once; whatever order
+/// the server observed, replaying each session's committed journal offline
+/// reproduces its sparsifier bit for bit — at 1 and 4 engine threads. No
+/// request may fail.
 TEST(Server, ConcurrentCommitsMatchOfflineReplay) {
+  const std::string sources[] = {"gen:grid2d:8x8", "gen:grid2d:8x8:2"};
+  constexpr int kSessions = 2;
   for (const int threads : {1, 4}) {
     set_default_threads(threads);
     const std::string path = temp_socket_path("diff");
@@ -524,81 +482,92 @@ TEST(Server, ConcurrentCommitsMatchOfflineReplay) {
 
     {
       ServeClient admin = ServeClient::connect_unix(path);
-      const auto open = admin.request("open g1 gen:grid2d:8x8");
-      ASSERT_TRUE(open.ok()) << open.status;
+      for (int s = 0; s < kSessions; ++s) {
+        const auto open = admin.request("open g" + std::to_string(s) + " " +
+                                        sources[s]);
+        ASSERT_TRUE(open.ok()) << open.status;
+      }
 
-      // 4 clients × 3 commits, each reweighting a disjoint set of
-      // horizontal edges of the 8x8 grid (rows 2k and 2k+1 belong to
-      // client k), so every interleaving resolves.
+      // 4 clients per session × 3 commits, each reweighting a disjoint set
+      // of horizontal edges of its session's 8x8 grid (rows 2k and 2k+1
+      // belong to client k), so every interleaving resolves.
       constexpr int kClients = 4;
       constexpr int kCommits = 3;
       std::vector<std::thread> workers;
-      std::vector<int> failures(kClients, 0);
-      for (int c = 0; c < kClients; ++c) {
-        workers.emplace_back([&, c] {
-          try {
-            ServeClient client = ServeClient::connect_unix(path);
-            if (!client.request("attach g1").ok()) {
-              failures[c] = 1;
-              return;
-            }
-            for (int commit = 0; commit < kCommits; ++commit) {
-              for (int row = 2 * c; row < 2 * c + 2; ++row) {
-                for (int col = 0; col < 7; ++col) {
-                  const int u = row * 8 + col;
-                  std::ostringstream op;
-                  op << "reweight " << u << ' ' << (u + 1) << ' '
-                     << (1.0 + 0.25 * commit + 0.01 * col);
-                  if (!client.request(op.str()).ok()) failures[c] = 1;
+      std::vector<int> failures(kSessions * kClients, 0);
+      for (int s = 0; s < kSessions; ++s) {
+        for (int c = 0; c < kClients; ++c) {
+          workers.emplace_back([&, s, c] {
+            int& failed = failures[s * kClients + c];
+            try {
+              ServeClient client = ServeClient::connect_unix(path);
+              if (!client.request("attach g" + std::to_string(s)).ok()) {
+                failed = 1;
+                return;
+              }
+              for (int commit = 0; commit < kCommits; ++commit) {
+                for (int row = 2 * c; row < 2 * c + 2; ++row) {
+                  for (int col = 0; col < 7; ++col) {
+                    const int u = row * 8 + col;
+                    std::ostringstream op;
+                    op << "reweight " << u << ' ' << (u + 1) << ' '
+                       << (1.0 + 0.25 * commit + 0.01 * col);
+                    if (!client.request(op.str()).ok()) failed = 1;
+                  }
                 }
+                auto resp = client.request("commit");
+                // Bounded retry under backpressure (the buffer is kept).
+                for (int retry = 0;
+                     retry < 100 &&
+                     resp.status.rfind("err backpressure:", 0) == 0;
+                     ++retry) {
+                  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                  resp = client.request("commit");
+                }
+                if (!resp.ok()) failed = 1;
               }
-              auto resp = client.request("commit");
-              // Bounded retry under backpressure (the buffer is kept).
-              for (int retry = 0;
-                   retry < 100 &&
-                   resp.status.rfind("err backpressure:", 0) == 0;
-                   ++retry) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(10));
-                resp = client.request("commit");
-              }
-              if (!resp.ok()) failures[c] = 1;
+            } catch (const std::exception&) {
+              failed = 1;
             }
-          } catch (const std::exception&) {
-            failures[c] = 1;
-          }
-        });
+          });
+        }
       }
       for (auto& w : workers) w.join();
-      for (int c = 0; c < kClients; ++c) {
-        EXPECT_EQ(failures[c], 0) << "client " << c << " failed";
+      for (int i = 0; i < kSessions * kClients; ++i) {
+        EXPECT_EQ(failures[i], 0) << "session " << i / kClients << " client "
+                                  << i % kClients << " failed";
       }
 
-      const auto journal = admin.request("query journal");
-      ASSERT_TRUE(journal.ok()) << journal.status;
-      ASSERT_EQ(journal.payload.size(),
-                static_cast<std::size_t>(kClients * kCommits * (14 + 1)));
+      for (int s = 0; s < kSessions; ++s) {
+        const std::string name = "g" + std::to_string(s);
+        ASSERT_TRUE(admin.request("attach " + name).ok());
+        const auto journal = admin.request("query journal");
+        ASSERT_TRUE(journal.ok()) << journal.status;
+        ASSERT_EQ(journal.payload.size(),
+                  static_cast<std::size_t>(kClients * kCommits * (14 + 1)));
 
-      // Offline replay of exactly what the server says it applied.
-      std::ostringstream text;
-      for (const std::string& line : journal.payload) text << line << "\n";
-      std::istringstream in(text.str());
-      DynamicSparsifier offline(load_session_graph("gen:grid2d:8x8"),
-                                test_dynamic_options());
-      for (const JournalBatch& batch : parse_update_journal(in)) {
-        offline.apply(resolve_journal_batch(offline.graph(), batch));
-      }
+        // Offline replay of exactly what the server says it applied.
+        std::ostringstream text;
+        for (const std::string& line : journal.payload) text << line << "\n";
+        std::istringstream in(text.str());
+        DynamicSparsifier offline(load_graph_source(sources[s]),
+                                  test_dynamic_options());
+        for (const JournalBatch& batch : parse_update_journal(in)) {
+          offline.apply(resolve_journal_batch(offline.graph(), batch));
+        }
 
-      const auto live = admin.request("query edges");
-      ASSERT_TRUE(live.ok()) << live.status;
-      ASSERT_EQ(static_cast<EdgeId>(live.payload.size()),
-                offline.result().num_edges());
-      for (std::size_t i = 0; i < live.payload.size(); ++i) {
-        const Edge off = offline.graph().edge(offline.result().edges[i]);
-        std::ostringstream row;
-        row << off.u << ' ' << off.v << ' '
-            << format_journal_weight(off.weight);
-        EXPECT_EQ(live.payload[i], row.str()) << "edge " << i << " at "
-                                              << threads << " threads";
+        const auto live = admin.request("query edges");
+        ASSERT_TRUE(live.ok()) << live.status;
+        ASSERT_EQ(static_cast<EdgeId>(live.payload.size()),
+                  offline.result().num_edges());
+        for (std::size_t i = 0; i < live.payload.size(); ++i) {
+          const Edge off = offline.graph().edge(offline.result().edges[i]);
+          std::ostringstream row;
+          row << off.u << ' ' << off.v << ' '
+              << format_journal_weight(off.weight);
+          EXPECT_EQ(live.payload[i], row.str())
+              << name << " edge " << i << " at " << threads << " threads";
+        }
       }
     }
     server.request_stop();
@@ -748,7 +717,7 @@ TEST(SessionStore, RestartAfterCrashDoesNotMergeTornOpsIntoNextBatch) {
   ASSERT_EQ(mgr.restore_all().size(), 1u);
   const auto s = mgr.attach("g");
   EXPECT_EQ(s->journal_lines().size(), 4u);  // op, commit, op, commit
-  DynamicSparsifier offline(load_session_graph("gen:grid2d:4x4:7"),
+  DynamicSparsifier offline(load_graph_source("gen:grid2d:4x4:7"),
                             test_dynamic_options());
   for (const JournalBatch& batch : stored.batches) {
     offline.apply(resolve_journal_batch(offline.graph(), batch));

@@ -921,8 +921,8 @@ TEST(Amg, TinyMatrixSingleLevel) {
 
 TEST(Amg, GaussSeidelSmootherConvergesFaster) {
   // Symmetric GS needs fewer V-cycles than weighted Jacobi for the same
-  // tolerance (it is the stronger smoother; wall-time is another matter —
-  // see the inner-solver ablation).
+  // tolerance (it is the stronger smoother, though each sweep makes two
+  // sequential passes to Jacobi's one).
   Rng rng(99);
   const Graph g = grid_2d(24, 24, WeightModel::uniform(0.5, 2.0), &rng);
   const CsrMatrix l = laplacian(g);

@@ -441,10 +441,35 @@ TEST(GraphSource, LoadsAllThreeKindsToTheSameBits) {
   std::remove(bin2.c_str());
 }
 
+TEST(GraphSource, GenSpecsAreDeterministic) {
+  const Graph a = load_graph_source("gen:grid2d:6x5:7");
+  ASSERT_EQ(a.num_vertices(), 30);
+  expect_graphs_bit_identical(a, load_graph_source("gen:grid2d:6x5:7"),
+                              "same spec");
+  // A different seed yields different weights.
+  const Graph c = load_graph_source("gen:grid2d:6x5:8");
+  bool differs = false;
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    differs = differs || a.edge(e).weight != c.edge(e).weight;
+  }
+  EXPECT_TRUE(differs);
+  // Every family parses.
+  EXPECT_GT(load_graph_source("gen:tri:5x5").num_edges(), 0);
+  EXPECT_GT(load_graph_source("gen:ba:32:2").num_edges(), 0);
+  EXPECT_GT(load_graph_source("gen:planted:64:4").num_edges(), 0);
+}
+
 TEST(GraphSource, MalformedSpecsThrow) {
-  EXPECT_THROW(load_graph_source("gen:nosuch:4x4"), std::invalid_argument);
-  EXPECT_THROW(load_graph_source("gen:grid2d:4"), std::invalid_argument);
-  EXPECT_THROW(load_graph_source("/nonexistent/path.sspb"),
+  for (const char* spec :
+       {"gen:nosuch:4x4", "gen:nosuch:6x5", "gen:grid2d", "gen:grid2d:4",
+        "gen:grid2d:6", "gen:grid2d:axb", "gen:grid2d:1x5",
+        "gen:grid2d:6x5:7:9", "gen:ba:32", "gen:ba:32:-1"}) {
+    EXPECT_THROW((void)load_graph_source(spec), std::invalid_argument)
+        << spec;
+  }
+  EXPECT_THROW((void)load_graph_source("/nonexistent/path.sspb"),
+               std::runtime_error);
+  EXPECT_THROW((void)load_graph_source("/no/such/file.mtx"),
                std::runtime_error);
 }
 

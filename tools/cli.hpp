@@ -250,10 +250,7 @@ inline ArgParser& add_sparsify_options(ArgParser& args) {
       .option("max-edges-per-round", "per-round edge cap (0 = adaptive)", "0")
       .option("similarity", "batch policy: none|node-disjoint|bounded",
               "node-disjoint")
-      .option("node-cap", "per-endpoint budget (similarity=bounded)", "2")
-      .option("inner-solver", "L_P solver: cholesky|amg", "cholesky")
-      .option("solver-tolerance", "relative tolerance of AMG inner solves",
-              "1e-4");
+      .option("node-cap", "per-endpoint budget (similarity=bounded)", "2");
   return add_execution_options(args);
 }
 
@@ -271,9 +268,6 @@ inline ArgParser& add_sparsify_options(ArgParser& args) {
       .with_similarity(
           parse_similarity_policy(args.get("similarity", "node-disjoint")))
       .with_node_cap(args.get_int("node-cap", 2))
-      .with_inner_solver(
-          parse_inner_solver_kind(args.get("inner-solver", "cholesky")))
-      .with_solver_tolerance(args.get_double("solver-tolerance", 1e-4))
       .with_threads(static_cast<int>(args.get_int("threads", 0)))
       .with_seed(seed_from(args));
 }
@@ -285,7 +279,6 @@ inline ArgParser& add_scale_options(ArgParser& args) {
       .option("partitions",
               "partition-parallel blocks k (1 = whole-graph engine)", "1")
       .option("cut-policy", "inter-block edges: keep-all|filter", "filter")
-      .option("cut-sigma2", "σ² target for the cut pass (0 = --sigma2)", "0")
       .flag("estimate-quality",
             "estimate global (λ_min, λ_max, σ²) of the stitched sparsifier")
       .flag("rescale",
@@ -312,10 +305,6 @@ inline ArgParser& add_scale_options(ArgParser& args) {
       .with_threads(block.threads);
   if (budget == 0) {
     opts.with_cut_policy(parse_cut_policy(args.get("cut-policy", "filter")));
-  }
-  const double cut_sigma2 = args.get_double("cut-sigma2", 0.0);
-  if (cut_sigma2 > 0.0) {
-    opts.with_cut_options(SparsifyOptions(block).with_sigma2(cut_sigma2));
   }
   return opts;
 }
@@ -355,7 +344,7 @@ inline ArgParser& add_dynamic_options(ArgParser& args) {
 }
 
 /// Registers the serving flag group (src/serve/) — the transport and
-/// admission-control surface shared by ssp_serve and bench_serve.
+/// admission-control surface of ssp_serve.
 inline ArgParser& add_serve_options(ArgParser& args) {
   return args
       .option("socket", "unix-domain socket path", "ssp_serve.sock")

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "cli.hpp"
-#include "core/options_io.hpp"
 #include "core/sparsifier.hpp"
 #include "core/sparsifier_preconditioner.hpp"
 #include "eigen/operators.hpp"
@@ -38,8 +37,6 @@ int main(int argc, char** argv) {
       .option("method", "cg|jacobi|ichol|tree|sparsifier|cholesky|amg",
               "sparsifier")
       .option("sigma2", "sparsifier target (method=sparsifier)", "100")
-      .option("inner-solver", "sparsifier inner solver: cholesky|amg",
-              "cholesky")
       .option("tol", "relative residual tolerance", "1e-6")
       .option("max-iters", "PCG iteration limit", "5000");
   cli::add_execution_options(args, "random RHS seed");
@@ -91,10 +88,7 @@ int main(int argc, char** argv) {
       // keeps its default seed so iteration-count sweeps over RHS draws
       // compare against one fixed preconditioner.
       const auto sopts =
-          SparsifyOptions{}
-              .with_sigma2(args.get_double("sigma2", 100.0))
-              .with_inner_solver(parse_inner_solver_kind(
-                  args.get("inner-solver", "cholesky")));
+          SparsifyOptions{}.with_sigma2(args.get_double("sigma2", 100.0));
       const SparsifyResult sp = sparsify(g, sopts);
       std::printf("sparsifier: %lld edges, sigma2 est %.2f, built in %.2fs\n",
                   static_cast<long long>(sp.num_edges()), sp.sigma2_estimate,

@@ -311,7 +311,6 @@ int main(int argc, char** argv) {
     // selects nothing.
     const bool partitioned = args.has("partitions") ||
                              args.has("cut-policy") ||
-                             args.has("cut-sigma2") ||
                              args.get_bool("estimate-quality", false) ||
                              args.get_bool("rescale", false);
     const bool dynamic =
