@@ -42,6 +42,11 @@ for fixture in grid8 community16; do
   run "${fixture}_dynamic.mtx"   --in "$in" --sigma2 8 --seed 42 \
       --update-file "$FIXTURES/$fixture.journal"
 done
+# ba2000: Barabasi-Albert, 2000 vertices, m = 8. Its L_G (33,928 nonzeros)
+# is large enough for the engine to overlap each round's spectral estimate
+# with its embedding when more than one thread runs, and its factors stay
+# unsplit; the fixtures above are too small for that.
+run ba2000_plain.mtx --in gen:ba:2000:8:3 --sigma2 100 --seed 42
 # Out-of-core: a 1 MiB budget splits the 120x120 lattice into four leaves.
 run grid120_outofcore.mtx --in gen:grid2d:120x120:7 --memory-budget-mb 1 \
     --sigma2 8 --seed 42
