@@ -1,4 +1,4 @@
-// Ablation studies for the design choices called out in DESIGN.md §4:
+// Ablation studies for the pipeline's design choices:
 //   A. Backbone: AKPW low-stretch tree vs max-weight Kruskal vs Dijkstra
 //      SPT (total stretch and downstream sparsifier size/time).
 //   B. Embedding: power steps t and random-vector count r (ranking

@@ -2,8 +2,9 @@
 
 /// \file bench_common.hpp
 /// Shared helpers for the paper-reproduction benchmark binaries: the proxy
-/// workloads standing in for the paper's SuiteSparse matrices (DESIGN.md
-/// §3), fixed-width table printing, and the machine-readable
+/// workloads standing in for the paper's SuiteSparse matrices (not shipped
+/// with the repository; each proxy below names the matrix it stands for),
+/// fixed-width table printing, and the machine-readable
 /// `BENCH_<name>.json` report writer behind the perf-trajectory tracking
 /// (every bench emits stage timings, graph sizes, and quality metrics as
 /// JSON next to its text tables).

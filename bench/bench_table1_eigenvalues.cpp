@@ -129,7 +129,8 @@ void print_table1(bench::Report& report) {
             .set("lambda_max_err_pct", emax));
   }
   bench::print_rule(78);
-  std::printf("* synthetic proxy of the SuiteSparse matrix (DESIGN.md §3)\n");
+  std::printf("* synthetic proxy of the SuiteSparse matrix "
+              "(bench/bench_common.hpp)\n");
 }
 
 // Micro-benchmarks: cost of the two estimators.

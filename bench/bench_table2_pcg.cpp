@@ -102,7 +102,8 @@ void print_table2(bench::Report& report) {
             .set("sparsify_seconds_200", c200.sparsify_seconds));
   }
   bench::print_rule(78);
-  std::printf("* synthetic proxy (DESIGN.md §3). Expected shape: N50 < N200, "
+  std::printf("* synthetic proxy (bench/bench_common.hpp). Expected shape: "
+              "N50 < N200, "
               "E50/V > E200/V, T50 > T200.\n");
 }
 

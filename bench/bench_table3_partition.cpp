@@ -92,7 +92,8 @@ void print_table3(bench::Report& report) {
             .set("rel_err", rel_err));
   }
   bench::print_rule(88);
-  std::printf("* synthetic proxy (DESIGN.md §3). Expected shape: T_I < T_D, "
+  std::printf("* synthetic proxy (bench/bench_common.hpp). Expected shape: "
+              "T_I < T_D, "
               "M_I < M_D, Rel.Err <= ~4e-2.\n");
 }
 

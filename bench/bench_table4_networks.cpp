@@ -96,7 +96,8 @@ void print_table4(bench::Report& report) {
             .set("eig_seconds_sparsified", t_spars));
   }
   bench::print_rule(84);
-  std::printf("* synthetic proxy (DESIGN.md §3). Expected shape: reductions "
+  std::printf("* synthetic proxy (bench/bench_common.hpp). Expected shape: "
+              "reductions "
               ">= 3x, large l1 collapse, eigensolver speedup.\n");
 }
 

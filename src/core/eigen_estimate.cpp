@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "eigen/power_iteration.hpp"
 #include "graph/laplacian.hpp"
+#include "la/vector_ops.hpp"
 #include "util/assert.hpp"
 
 namespace ssp {
@@ -52,8 +54,15 @@ double estimate_lambda_min_node_coloring(const Graph& g, const Graph& p) {
 double estimate_lambda_max_power(const CsrMatrix& lg, const LinOp& solve_p,
                                  Rng& rng, Index iterations) {
   SSP_REQUIRE(iterations >= 1, "lambda_max: need >= 1 iteration");
+  return estimate_lambda_max_power(
+      lg, solve_p, random_probe_vector(lg.rows(), rng), iterations);
+}
+
+double estimate_lambda_max_power(const CsrMatrix& lg, const LinOp& solve_p,
+                                 Vec start, Index iterations) {
+  SSP_REQUIRE(iterations >= 1, "lambda_max: need >= 1 iteration");
   const PowerResult res = generalized_power_iteration(
-      lg, solve_p, rng,
+      lg, solve_p, std::move(start),
       {.max_iterations = iterations, .rel_tolerance = 1e-4});
   return res.eigenvalue;
 }

@@ -40,4 +40,12 @@ namespace ssp {
                                                const LinOp& solve_p, Rng& rng,
                                                Index iterations = 10);
 
+/// Start-vector form (see `generalized_power_iteration`): draws nothing, so
+/// the engine can draw `start` from its Rng and hand the iteration to a
+/// pool thread. Bit-identical to the Rng form on
+/// `random_probe_vector(lg.rows(), rng)`.
+[[nodiscard]] double estimate_lambda_max_power(const CsrMatrix& lg,
+                                               const LinOp& solve_p, Vec start,
+                                               Index iterations = 10);
+
 }  // namespace ssp

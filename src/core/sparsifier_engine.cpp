@@ -7,12 +7,15 @@
 #include "core/eigen_estimate.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/laplacian.hpp"
+#include "la/kernels/kernel_config.hpp"
+#include "la/vector_ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tree/akpw.hpp"
 #include "tree/dijkstra_tree.hpp"
 #include "tree/kruskal.hpp"
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace ssp {
@@ -98,12 +101,15 @@ constexpr double kAmgSolveTolerance = 1e-4;
 
 }  // namespace
 
+bool Sparsifier::tree_only() const {
+  return static_cast<EdgeId>(result_.edges.size()) ==
+         static_cast<EdgeId>(g_->num_vertices()) - 1;
+}
+
 LinOp Sparsifier::make_solver(double* setup_seconds, PanelOp* panel) {
   const WallTimer timer;
   LinOp solve_p;
-  const bool tree_only = static_cast<EdgeId>(result_.edges.size()) ==
-                         static_cast<EdgeId>(g_->num_vertices()) - 1;
-  if (tree_only) {
+  if (tree_only()) {
     // P is the bare backbone: the O(n) tree solver is exact.
     solve_p = make_tree_solver_op(*tree_solver_);
     if (panel != nullptr) {
@@ -129,6 +135,20 @@ LinOp Sparsifier::make_solver(double* setup_seconds, PanelOp* panel) {
   }
   if (setup_seconds != nullptr) *setup_seconds = timer.seconds();
   return solve_p;
+}
+
+bool Sparsifier::overlaps_estimate_and_embedding() const {
+  // The stages' own parallelism is weak exactly when the round's solver
+  // runs on one thread (the tree solver or an unsplit factor; a split
+  // factor's solve and AMG would lose their pool regions inside a chunk)
+  // and L_G is large enough for its row-parallel SpMV: smaller ones leave
+  // too little work per round to pay for the hand-off. A caller on a pool
+  // worker (a scale-driver unit) would run both chunks inline, one after
+  // the other, so it keeps the sequential order.
+  return resolve_threads(opts_.threads) >= 2 &&
+         !ThreadPool::on_worker_thread() && global_pool().workers() >= 2 &&
+         lg_.nnz() >= kernels::kSpmvParallelMinNnz &&
+         (tree_only() || (!factor_over_budget_ && !chol_.split()));
 }
 
 namespace {
@@ -187,23 +207,70 @@ StepStatus Sparsifier::step_impl() {
   const LinOp solve_p = make_solver(&setup_seconds, &solve_p_panel);
   notify_stage(StageKind::kSolverSetup, setup_seconds);
 
-  // --- Step 2: estimate the spectral similarity. ---
-  WallTimer stage_timer;
-  stats.lambda_min = estimate_lambda_min_node_coloring(*g_, in_p_);
-  stats.lambda_max = estimate_lambda_max_power(lg_, solve_p, rng_,
-                                               opts_.lambda_max_iterations);
+  // --- Steps 2 and 4 read only L_G and this round's L_P⁺. The estimate
+  // draws nothing from rng_ but its start vector, so once that is drawn
+  // the embedding's stream is fixed and the two can run concurrently
+  // (`overlaps_estimate_and_embedding`). ---
+  Vec start = random_probe_vector(g_->num_vertices(), rng_);
+  Rng embedding_rng = rng_;
+  const auto estimate = [&] {
+    stats.lambda_max = estimate_lambda_max_power(
+        lg_, solve_p, std::move(start), opts_.lambda_max_iterations);
+  };
+  const auto lambda_min = [&] {
+    stats.lambda_min = estimate_lambda_min_node_coloring(*g_, in_p_);
+  };
+  const auto embed = [&] {
+    compute_offtree_heat(*g_, lg_, in_p_, solve_p,
+                         {.power_steps = opts_.power_steps,
+                          .num_vectors = opts_.num_vectors,
+                          .threads = opts_.threads},
+                         embedding_rng, emb_ws_, emb_, solve_p_panel);
+    obs::counter_add("engine.embedding.vectors",
+                     static_cast<std::uint64_t>(opts_.num_vectors));
+  };
+  const auto seconds_of = [](auto&& fn) {
+    const WallTimer timer;
+    fn();
+    return timer.seconds();
+  };
+
+  const bool overlap = overlaps_estimate_and_embedding();
+  if (overlap) {
+    // Two chunks of one pool region. Their own SpMV, probe and solve
+    // regions run inline on the chunk's thread (nested-region rule), with
+    // the same arithmetic as on the calling thread. λ_min rides with the
+    // embedding, the shorter chunk.
+    obs::counter_add("engine.stage.overlap.rounds", 1);
+    parallel_for_chunks(0, 2, 2, [&](int chunk, Index, Index) {
+      if (chunk == 0) {
+        notify_stage(StageKind::kSpectralEstimate, seconds_of(estimate));
+      } else {
+        notify_stage(StageKind::kEmbedding, seconds_of([&] {
+                       lambda_min();
+                       embed();
+                     }));
+      }
+    });
+  } else {
+    notify_stage(StageKind::kSpectralEstimate, seconds_of([&] {
+                   lambda_min();
+                   estimate();
+                 }));
+  }
   // Guard against solver noise: the pencil spectrum is >= 1 for
   // subgraph sparsifiers.
   stats.lambda_max = std::max(stats.lambda_max, 1.0);
   stats.lambda_min = std::clamp(stats.lambda_min, 1.0, stats.lambda_max);
   stats.sigma2_estimate = stats.lambda_max / stats.lambda_min;
-  notify_stage(StageKind::kSpectralEstimate, stage_timer.seconds());
 
   result_.lambda_min = stats.lambda_min;
   result_.lambda_max = stats.lambda_max;
   result_.sigma2_estimate = stats.sigma2_estimate;
 
-  // --- Step 3: stop when similar enough (or nothing left to add). ---
+  // --- Step 3: stop when similar enough (or nothing left to add). An
+  // overlapped embedding is dropped, and rng_ stays just past the start
+  // vector, as in the sequential order. ---
   if (stats.sigma2_estimate <= opts_.sigma2 ||
       static_cast<EdgeId>(result_.edges.size()) == g_->num_edges()) {
     result_.reached_target = stats.sigma2_estimate <= opts_.sigma2;
@@ -214,18 +281,11 @@ StepStatus Sparsifier::step_impl() {
   }
 
   // --- Step 4: spectral embedding of off-tree edges. ---
-  stage_timer.reset();
-  compute_offtree_heat(*g_, lg_, in_p_, solve_p,
-                       {.power_steps = opts_.power_steps,
-                        .num_vectors = opts_.num_vectors,
-                        .threads = opts_.threads},
-                       rng_, emb_ws_, emb_, solve_p_panel);
-  notify_stage(StageKind::kEmbedding, stage_timer.seconds());
-  obs::counter_add("engine.embedding.vectors",
-                   static_cast<std::uint64_t>(opts_.num_vectors));
+  if (!overlap) notify_stage(StageKind::kEmbedding, seconds_of(embed));
+  rng_ = embedding_rng;
 
+  const WallTimer filter_timer;
   // --- Step 5: rank and filter by normalized Joule heat (Eq. 15). ---
-  stage_timer.reset();
   stats.theta = heat_threshold(opts_.sigma2, stats.lambda_min,
                                stats.lambda_max, opts_.power_steps);
 
@@ -262,7 +322,7 @@ StepStatus Sparsifier::step_impl() {
   }
   obs::counter_add("engine.filter.candidates", filter_stats.candidates);
   obs::counter_add("engine.filter.examined", filter_stats.examined);
-  notify_stage(StageKind::kFiltering, stage_timer.seconds());
+  notify_stage(StageKind::kFiltering, filter_timer.seconds());
   if (picked.empty()) {  // no off-tree edges remain
     finish_round(stats);
     done_ = true;

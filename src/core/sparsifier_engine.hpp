@@ -56,11 +56,53 @@
 /// library); it is now fixed regardless of thread count, and the
 /// sequential path (`threads = 1`) draws the identical derived streams.
 ///
+/// Round steps (§3.7), as `step()` runs them:
+///  1. solver setup: assemble L_P and build its L_P⁺ (`make_solver`);
+///  2. spectral estimate: draw the power iteration's start vector from the
+///     engine's Rng, then λ_max by generalized power iterations and λ_min
+///     by node coloring;
+///  3. stop test on σ² = λ_max / λ_min;
+///  4. embedding: Joule heats of the off-tree edges, r probes of t power
+///     steps (`compute_offtree_heat`, which advances the Rng once);
+///  5–6. θ_σ filter and dissimilar-batch acceptance.
+///
+/// Overlap. Steps 2 and 4 read only L_G and the round's L_P⁺, and step 2
+/// draws nothing from the Rng but its start vector. So, once that vector
+/// is drawn, the embedding's stream is fixed, and the estimate and the
+/// embedding (with λ_min) can run as the two chunks of one pool region,
+/// before the stop test. The overlap runs only where the stages' own
+/// parallelism is weak, from properties of the round (no option selects
+/// it). All of these must hold:
+///  * `resolve_threads(opts.threads) >= 2`, the pool has >= 2 workers, and
+///    the caller is not on a pool worker (an engine nested in a pool
+///    region, e.g. a scale-driver unit, keeps the sequential order);
+///  * the round's solver runs on one thread: the tree solver or an unsplit
+///    factor, not a split factor (`SparseCholesky::split`) and not AMG;
+///  * L_G holds >= `kernels::kSpmvParallelMinNnz` nonzeros.
+/// Otherwise the same function runs steps 2, 3 and 4 in order. Inside a
+/// chunk the stages' own SpMV, probe and solve regions run inline (the
+/// pool's nested-region rule), with the same arithmetic, so the result is
+/// bit-identical either way. Each overlapped round counts in
+/// `engine.stage.overlap.rounds`, and each stage records its own chunk's
+/// seconds, so the estimate and embedding seconds of a round may overlap
+/// in wall time.
+///
+/// Rng contract: a round draws the start vector from the engine's Rng,
+/// and the embedding runs on a copy of the Rng as it stands after that
+/// draw. A round that stops at step 3 drops the embedding (an overlapped
+/// one computed it anyway) and leaves the Rng just past the start vector;
+/// a round that goes on takes the embedding's advance. Either way the Rng
+/// holds the state the sequential order leaves, so `refine()` resumes on
+/// the same stream at any thread count.
+///
 /// Thread-compatibility: a `Sparsifier` instance is single-threaded at the
 /// API level — calls into one instance must not overlap, while internally
 /// each step fans work out over the global pool; distinct instances are
-/// independent. The engine is neither copyable nor movable (inner solvers
-/// hold references into the instance).
+/// independent. In an overlapped round the round's L_P⁺ (`solve_p`) is
+/// called from two threads at once, so every inner solver must be safe
+/// for concurrent solves (the tree solver and the Cholesky factor keep
+/// their scratch per thread). The engine is neither copyable nor movable
+/// (inner solvers hold references into the instance).
 
 #include <cstdint>
 #include <optional>
@@ -83,8 +125,10 @@ namespace ssp {
 enum class StageKind {
   kBackbone,          ///< spanning-tree backbone construction
   kSolverSetup,       ///< L_P assembly and inner solver (re)build
-  kSpectralEstimate,  ///< (λ_min, λ_max) estimation (§3.6)
-  kEmbedding,         ///< Joule-heat embedding of off-tree edges (§3.2)
+  kSpectralEstimate,  ///< (λ_min, λ_max) estimation (§3.6); λ_max only
+                      ///< in an overlapped round
+  kEmbedding,         ///< Joule-heat embedding of off-tree edges (§3.2);
+                      ///< with λ_min in an overlapped round
   kFiltering,         ///< θ_σ filter + dissimilar batch selection (§3.5/3.7)
   kFinalEstimate,     ///< post-loop σ² refresh after the round budget
 };
@@ -225,6 +269,12 @@ class Sparsifier {
   /// solves.
   [[nodiscard]] LinOp make_solver(double* setup_seconds,
                                   PanelOp* panel = nullptr);
+  /// True while P is the bare backbone.
+  [[nodiscard]] bool tree_only() const;
+  /// The overlap gate (file comment): whether this round, whose solver
+  /// `make_solver` just built, runs its spectral estimate and its
+  /// embedding as two concurrent chunks.
+  [[nodiscard]] bool overlaps_estimate_and_embedding() const;
   void final_estimate();
   /// Records the round and notifies; returns on_round's verdict.
   bool finish_round(const DensifyRound& stats);

@@ -1,6 +1,7 @@
 #include "eigen/power_iteration.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "la/vector_ops.hpp"
 #include "util/assert.hpp"
@@ -46,12 +47,20 @@ PowerResult power_iteration(const LinOp& apply, Index n, Rng& rng,
 PowerResult generalized_power_iteration(const CsrMatrix& lg,
                                         const LinOp& solve_p, Rng& rng,
                                         const PowerOptions& opts) {
+  return generalized_power_iteration(lg, solve_p,
+                                     random_probe_vector(lg.rows(), rng), opts);
+}
+
+PowerResult generalized_power_iteration(const CsrMatrix& lg,
+                                        const LinOp& solve_p, Vec start,
+                                        const PowerOptions& opts) {
   const Index n = lg.rows();
   SSP_REQUIRE(lg.rows() == lg.cols(), "generalized power: L_G not square");
   SSP_REQUIRE(n >= 2, "generalized power: need >= 2 vertices");
   const auto un = static_cast<std::size_t>(n);
+  SSP_REQUIRE(start.size() == un, "generalized power: start vector size");
 
-  Vec h = random_probe_vector(n, rng);
+  Vec h = std::move(start);
 
   Vec gh(un);    // L_G h
   Vec hn(un);    // next iterate L_P^+ L_G h

@@ -42,4 +42,13 @@ struct PowerResult {
     const CsrMatrix& lg, const LinOp& solve_p, Rng& rng,
     const PowerOptions& opts = {});
 
+/// Start-vector form: iterates from `start` (zero-mean, unit norm, one
+/// entry per vertex — e.g. `random_probe_vector(n, rng)`) and draws
+/// nothing. The Rng form is this one on `random_probe_vector(n, rng)`, so a
+/// caller can draw the start vector first and run the iteration later, or
+/// on another thread, with the same bits.
+[[nodiscard]] PowerResult generalized_power_iteration(
+    const CsrMatrix& lg, const LinOp& solve_p, Vec start,
+    const PowerOptions& opts = {});
+
 }  // namespace ssp

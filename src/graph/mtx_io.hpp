@@ -2,9 +2,10 @@
 
 /// \file mtx_io.hpp
 /// Matrix Market (.mtx) I/O — the interchange format of the SuiteSparse/UFL
-/// collection the paper evaluates on. The offline benchmarks use synthetic
-/// proxies (see DESIGN.md §3), but any real SuiteSparse matrix drops in via
-/// `load_graph_mtx`.
+/// collection the paper evaluates on. The collection is not shipped with
+/// the repository, so the offline benchmarks run seeded synthetic proxies
+/// of its matrices (bench/bench_common.hpp, "Proxy workloads"), but any
+/// real SuiteSparse matrix drops in via `load_graph_mtx`.
 ///
 /// Supported header: `matrix coordinate {real|integer|pattern}
 /// {general|symmetric|skew-symmetric}`. Comments (%) and blank lines are

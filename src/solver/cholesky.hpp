@@ -14,8 +14,10 @@
 ///
 /// Laplacians are factored by *grounding*: one vertex's row/column is
 /// removed, making the reduced matrix SPD for connected graphs; solutions
-/// are re-centered to zero mean (valid because RHS vectors are projected
-/// onto the range, see DESIGN.md §5).
+/// are re-centered to zero mean. That is L⁺b: every right-hand side is
+/// first projected onto range(L), the zero-mean vectors, where the grounded
+/// solve is exact up to an added constant, and the re-centering removes the
+/// constant.
 ///
 /// Per-thread etree bins. A column's off-diagonal rows are all etree
 /// ancestors of it, so once a top-closed set S of etree nodes (every
@@ -49,7 +51,9 @@
 /// Concurrency: `solve` is const and safe to call concurrently on one
 /// factor. A call from outside the pool may open pool regions, which the
 /// pool serializes; a call from inside a pool region (e.g. the embedding's
-/// parallel probe loop) runs the same schedule inline on its thread.
+/// parallel probe loop, or either chunk of an engine round that overlaps
+/// its spectral estimate with its embedding) runs the same schedule inline
+/// on its thread.
 
 #include <limits>
 #include <span>
@@ -147,6 +151,10 @@ class SparseCholesky {
   [[nodiscard]] Index factor_nnz() const {
     return static_cast<Index>(rows_.size());
   }
+
+  /// True when the factor is split into more than one bin, so that a
+  /// `solve` from outside the pool runs its sweeps on several threads.
+  [[nodiscard]] bool split() const { return bin_begin_.size() > 2; }
 
   /// nnz(L) / nnz(tril(A)) — fill-in ratio.
   [[nodiscard]] double fill_ratio() const { return fill_ratio_; }

@@ -6,7 +6,8 @@
 /// This is the workhorse behind (i) the generalized power iterations of the
 /// spectral embedding when the sparsifier is still a bare tree, and (ii)
 /// the spanning-tree preconditioner used inside PCG once the sparsifier has
-/// been densified (the tree stays a subgraph of P, see DESIGN.md §5).
+/// been densified (densification only adds off-tree edges, so the tree
+/// stays a subgraph of P).
 ///
 /// Algorithm: with the tree rooted, the current on the edge (v, parent(v))
 /// must equal the total injection Σ b over v's subtree; a leaf-to-root pass

@@ -3,7 +3,7 @@
 /// \file assert.hpp
 /// Always-on and debug-only assertion macros used across the library.
 ///
-/// Per the project error-handling contract (DESIGN.md §6):
+/// The project error-handling contract:
 ///  * `SSP_REQUIRE`  — precondition checks on public API boundaries; throws
 ///    `std::invalid_argument` with location info. Always enabled.
 ///  * `SSP_ASSERT`   — internal invariants on cold paths; throws

@@ -42,11 +42,17 @@
 ///    starting on the other thread — is 0.7 µs to a spinning worker and
 ///    35 µs (p90 64 µs) to a parked one, as long as a dense-network
 ///    SpMV region itself (p50 42 µs);
-///  * the gaps between consecutive regions of a 600-vertex,
-///    30-edge-per-vertex ER sparsification at σ² = 100 are p50 13 µs and
-///    p90 70 µs (94% under 100 µs; the rest are > 1 ms round
-///    boundaries), while a 128×128 mesh's spectral estimate leaves
-///    p50 350 µs between its SpMVs (one sparse-Cholesky solve each).
+///  * the gaps between consecutive regions: a 128×128 mesh's spectral
+///    estimate leaves p50 350 µs between its SpMVs (one sparse-Cholesky
+///    solve each). A 600-vertex, 30-edge-per-vertex ER sparsification at
+///    σ² = 100, whose SpMVs each opened a region, opened about 190 per
+///    run with gaps of p50 6–13 µs and p90 33–70 µs (94% under 100 µs;
+///    the rest are round boundaries over 0.5 ms). Since its rounds run
+///    the spectral estimate and the embedding as the two chunks of one
+///    region (src/core/sparsifier_engine.hpp), the SpMVs run inline in the
+///    chunks, and the same run opens one region per round (12), whose
+///    gaps are round boundaries (p50 0.57 ms, p90 0.86 ms): its worker
+///    parks between rounds and pays one parked hand-off per round.
 ///
 /// 200 µs catches every short gap with margin and still parks through the
 /// mesh's solves and the round boundaries, so idle workers burn at most

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Kernel backend parity check: runs ssp_sparsify over the checked-in
-# fixture graphs under every kernel backend compiled into the binary
+# fixture graphs and one generated graph under every
+# kernel backend compiled into the binary
 # (SSP_KERNEL_BACKEND) crossed with SSP_THREADS 1 and 4, and compares the
 # output edge lists byte for byte against the generic-backend
 # single-thread reference. Any difference is a violation of the kernel
@@ -37,30 +38,19 @@ run() { # run <backend> <threads> <output-name> <args...>
   fi
 }
 
-# Inputs as "<name> <sparsify args...>". grid8 and community16 are the
-# checked-in fixtures; ba2000 is large enough for the engine to overlap
-# each round's spectral estimate with its embedding at SSP_THREADS=4,
-# which the small fixtures never do.
-INPUTS=(
-  "grid8 --in $FIXTURES/grid8.mtx --sigma2 8 --seed 42"
-  "community16 --in $FIXTURES/community16.mtx --sigma2 8 --seed 42"
-  "ba2000 --in gen:ba:2000:8:3 --sigma2 100 --seed 42"
-)
-
 checked=0
-for input in "${INPUTS[@]}"; do
-  read -r fixture args <<< "$input"
+check() { # check <name> <sparsify args...>
+  local name="$1"
+  shift
   # Reference: scalar backend, one thread.
-  # shellcheck disable=SC2086  # args is a word list
-  run generic 1 "${fixture}_ref.mtx" $args
+  run generic 1 "${name}_ref.mtx" "$@"
   for backend in $BACKENDS; do
     for threads in 1 4; do
       [ "$backend" = generic ] && [ "$threads" = 1 ] && continue
-      out="${fixture}_${backend}_t${threads}.mtx"
-      # shellcheck disable=SC2086
-      run "$backend" "$threads" "$out" $args
-      if ! cmp -s "$WORK/${fixture}_ref.mtx" "$WORK/$out"; then
-        echo "FAIL: $fixture output differs: $backend @ SSP_THREADS=$threads" >&2
+      out="${name}_${backend}_t${threads}.mtx"
+      run "$backend" "$threads" "$out" "$@"
+      if ! cmp -s "$WORK/${name}_ref.mtx" "$WORK/$out"; then
+        echo "FAIL: $name output differs: $backend @ SSP_THREADS=$threads" >&2
         echo "      vs generic @ SSP_THREADS=1 — backends must be" >&2
         echo "      byte-identical (kernel determinism contract)." >&2
         exit 1
@@ -68,7 +58,13 @@ for input in "${INPUTS[@]}"; do
       checked=$((checked + 1))
     done
   done
-done
+}
+
+check grid8 --in "$FIXTURES/grid8.mtx" --sigma2 8 --seed 42
+check community16 --in "$FIXTURES/community16.mtx" --sigma2 8 --seed 42
+# Large enough for the engine to overlap each round's spectral estimate
+# with its embedding at SSP_THREADS=4, which the two fixtures never are.
+check ba2000 --in gen:ba:2000:8:3 --sigma2 100 --seed 42
 
 # A pin the binary cannot honour must fail loudly, never fall back.
 if SSP_KERNEL_BACKEND=bogus "$SPARSIFY" --kernels > "$WORK/log.txt" 2>&1; then

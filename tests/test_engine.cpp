@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/sparsifier_engine.hpp"
 #include "graph/generators/lattice.hpp"
 #include "graph/generators/random_graphs.hpp"
+#include "obs/metrics.hpp"
 #include "scale/hierarchical_sparsifier.hpp"
 #include "tree/kruskal.hpp"
 #include "util/parallel.hpp"
@@ -361,6 +364,90 @@ TEST(OptionsIo, EnumStringRoundTrips) {
   }
 }
 
+// ---- Overlapped estimate and embedding --------------------------------
+// Above the engine's overlap gate (sparsifier_engine.hpp), each round's
+// spectral estimate and embedding run as two concurrent pool chunks. These
+// helpers compare such runs with one-thread runs, where the gate is off.
+
+// Dense-network shape: ER, 600 vertices, 18,000 unit edges. L_G has 36,600
+// nonzeros and every factor stays unsplit, so every round at >= 2 threads
+// overlaps.
+Graph dense_network_graph() {
+  Rng rng(8);
+  return erdos_renyi_connected(600, 18000, rng);
+}
+
+/// Everything a result reports that must not depend on the thread count,
+/// each double kept as its bit pattern.
+struct RunBits {
+  std::vector<EdgeId> edges;
+  std::uint64_t sigma2 = 0;
+  std::uint64_t lambda_min = 0;
+  std::uint64_t lambda_max = 0;
+  bool reached_target = false;
+  std::vector<std::uint64_t> theta;
+  std::vector<EdgeId> edges_added;
+  bool operator==(const RunBits&) const = default;
+};
+
+RunBits bits_of(const SparsifyResult& r) {
+  RunBits b;
+  b.edges = r.edges;
+  b.sigma2 = std::bit_cast<std::uint64_t>(r.sigma2_estimate);
+  b.lambda_min = std::bit_cast<std::uint64_t>(r.lambda_min);
+  b.lambda_max = std::bit_cast<std::uint64_t>(r.lambda_max);
+  b.reached_target = r.reached_target;
+  for (const DensifyRound& round : r.rounds) {
+    b.theta.push_back(std::bit_cast<std::uint64_t>(round.theta));
+    b.edges_added.push_back(round.edges_added);
+  }
+  return b;
+}
+
+std::uint64_t overlap_rounds_counter() {
+  std::uint64_t value = 0;
+  obs::for_each_metric([&](const obs::MetricEntry& e) {
+    if (std::string(e.name) == "engine.stage.overlap.rounds") {
+      value = e.counter;
+    }
+  });
+  return value;
+}
+
+/// One engine run to convergence, then (when `refine_to` > 0) refined and
+/// run again, with the rounds it overlapped counted.
+struct GatedRun {
+  RunBits converged;
+  RunBits refined;
+  Index rounds = 0;
+  std::uint64_t overlap_rounds = 0;
+  bool operator==(const GatedRun&) const = default;
+};
+
+GatedRun gated_run(const Graph& g, const SparsifyOptions& opts,
+                   double refine_to = 0.0) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = overlap_rounds_counter();
+  GatedRun run;
+  Sparsifier engine(g, opts);
+  engine.run();
+  run.converged = bits_of(engine.result());
+  if (refine_to > 0.0) {
+    engine.refine(refine_to);
+    engine.run();
+    run.refined = bits_of(engine.result());
+  }
+  run.rounds = engine.rounds_completed();
+  run.overlap_rounds = overlap_rounds_counter() - before;
+  obs::set_metrics_enabled(was_enabled);
+  return run;
+}
+
+/// True when a run at >= 2 threads can overlap at all: the pool must have
+/// a second worker.
+bool pool_can_overlap() { return global_pool().workers() >= 2; }
+
 TEST(Engine, ThreadCountNeverChangesTheEdgeList) {
   // The determinism contract: SparsifyOptions::threads changes wall time
   // only. Per-probe split streams + stream-order reductions make the run
@@ -389,6 +476,49 @@ TEST(Engine, ThreadCountNeverChangesTheEdgeList) {
     EXPECT_EQ(e1.result().rounds[i].edges_added,
               e4.result().rounds[i].edges_added);
   }
+
+  // Above the overlap gate. Threads 1 run the estimate and the embedding
+  // one after the other; threads 2 and 4 overlap every round of the dense
+  // network. Every bit of the result must agree.
+  {
+    const Graph dense = dense_network_graph();
+    const auto opts = SparsifyOptions{}.with_sigma2(100.0).with_seed(13);
+    const GatedRun one =
+        gated_run(dense, SparsifyOptions(opts).with_threads(1));
+    EXPECT_TRUE(one.converged.reached_target);
+    EXPECT_EQ(one.overlap_rounds, 0u);
+    for (const int threads : {2, 4}) {
+      const GatedRun many =
+          gated_run(dense, SparsifyOptions(opts).with_threads(threads));
+      EXPECT_EQ(many.converged, one.converged) << "threads " << threads;
+      EXPECT_EQ(many.rounds, one.rounds) << "threads " << threads;
+      if (pool_can_overlap()) {
+        EXPECT_EQ(many.overlap_rounds,
+                  static_cast<std::uint64_t>(many.rounds))
+            << "threads " << threads;
+      }
+    }
+  }
+
+  // A 128x128 mesh: its tree round overlaps, while its factor rounds are
+  // split into per-thread bins and keep the sequential order (a split
+  // solve would lose its own pool regions inside a chunk). Both kinds of
+  // round must give the one-thread bits.
+  {
+    const Graph mesh = test_grid(128, 101);
+    const auto opts = SparsifyOptions{}.with_sigma2(100.0).with_seed(42);
+    const GatedRun one =
+        gated_run(mesh, SparsifyOptions(opts).with_threads(1));
+    const GatedRun four =
+        gated_run(mesh, SparsifyOptions(opts).with_threads(4));
+    EXPECT_EQ(four.converged, one.converged);
+    EXPECT_EQ(one.overlap_rounds, 0u);
+    ASSERT_GT(four.rounds, 1);
+    if (pool_can_overlap()) {
+      EXPECT_GE(four.overlap_rounds, 1u);
+      EXPECT_LT(four.overlap_rounds, static_cast<std::uint64_t>(four.rounds));
+    }
+  }
 }
 
 TEST(Engine, WarmStartRefineParityUnderThreading) {
@@ -413,6 +543,47 @@ TEST(Engine, WarmStartRefineParityUnderThreading) {
                    e4.result().sigma2_estimate);
   EXPECT_EQ(e1.result().reached_target, e4.result().reached_target);
   EXPECT_EQ(e1.rounds_completed(), e4.rounds_completed());
+
+  // Above the overlap gate. A converged overlapped round drops its
+  // embedding and leaves the Rng just past the estimate's start vector, so
+  // refine() resumes on the one-thread stream: converged run, refined run
+  // and a repeat all match threads 1 bit for bit.
+  {
+    const Graph dense = dense_network_graph();
+    const auto dense_opts =
+        SparsifyOptions{}.with_sigma2(100.0).with_seed(29);
+    const GatedRun one =
+        gated_run(dense, SparsifyOptions(dense_opts).with_threads(1), 60.0);
+    ASSERT_TRUE(one.converged.reached_target);
+    EXPECT_GT(one.refined.edges.size(), one.converged.edges.size());
+    for (const int threads : {2, 4}) {
+      const auto opts = SparsifyOptions(dense_opts).with_threads(threads);
+      const GatedRun first = gated_run(dense, opts, 60.0);
+      const GatedRun second = gated_run(dense, opts, 60.0);
+      EXPECT_EQ(first.converged, one.converged) << "threads " << threads;
+      EXPECT_EQ(first.refined, one.refined) << "threads " << threads;
+      EXPECT_EQ(first.rounds, one.rounds) << "threads " << threads;
+      EXPECT_EQ(second, first) << "threads " << threads;
+      if (pool_can_overlap()) {
+        EXPECT_EQ(first.overlap_rounds,
+                  static_cast<std::uint64_t>(first.rounds))
+            << "threads " << threads;
+      }
+    }
+
+    // Called from inside a pool region (as a scale-driver unit is), the
+    // gate is off and the run keeps the sequential order, with the same
+    // result as the top-level run.
+    GatedRun nested;
+    parallel_for(Index{0}, Index{2}, 2, [&](Index i) {
+      if (i == 0) {
+        nested =
+            gated_run(dense, SparsifyOptions(dense_opts).with_threads(2), 60.0);
+      }
+    });
+    EXPECT_EQ(nested.overlap_rounds, 0u);
+    EXPECT_EQ(nested, one);
+  }
 }
 
 TEST(Filter, EqualHeatTiesBreakByAscendingEdgeId) {
