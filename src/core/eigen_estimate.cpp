@@ -53,7 +53,6 @@ double estimate_lambda_min_node_coloring(const Graph& g, const Graph& p) {
 
 double estimate_lambda_max_power(const CsrMatrix& lg, const LinOp& solve_p,
                                  Rng& rng, Index iterations) {
-  SSP_REQUIRE(iterations >= 1, "lambda_max: need >= 1 iteration");
   return estimate_lambda_max_power(
       lg, solve_p, random_probe_vector(lg.rows(), rng), iterations);
 }

@@ -284,8 +284,8 @@ StepStatus Sparsifier::step_impl() {
   if (!overlap) notify_stage(StageKind::kEmbedding, seconds_of(embed));
   rng_ = embedding_rng;
 
-  const WallTimer filter_timer;
   // --- Step 5: rank and filter by normalized Joule heat (Eq. 15). ---
+  const WallTimer filter_timer;
   stats.theta = heat_threshold(opts_.sigma2, stats.lambda_min,
                                stats.lambda_max, opts_.power_steps);
 
